@@ -104,15 +104,53 @@ let read_lines path =
 
 let first_line path = match read_lines path with l :: _ -> Some (String.trim l) | [] -> None
 
-(* Peak resident set (VmHWM) of this process, in MiB. *)
-let peak_rss_mib () =
+(* A "%d kB" field of /proc/self/status (VmHWM, VmRSS), in MiB. *)
+let status_mib field =
   read_lines "/proc/self/status"
   |> List.find_map (fun l ->
          match String.split_on_char ':' l with
-         | [ "VmHWM"; v ] ->
+         | [ f; v ] when f = field ->
              Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb -> float_of_int kb /. 1024.0)
          | _ -> None)
   |> Option.value ~default:nan
+
+(* Writing 5 to clear_refs resets VmHWM to the current resident set;
+   false where the kernel refuses. *)
+let reset_peak_rss () =
+  match open_out "/proc/self/clear_refs" with
+  | exception Sys_error _ -> false
+  | oc -> (
+      match
+        output_string oc "5";
+        close_out oc
+      with
+      | () -> true
+      | exception Sys_error _ ->
+          close_out_noerr oc;
+          false)
+
+(* Resident-set peaks of the timed loop's windows: its first batch, or
+   each half second of the serve loop.  peak_rss_mb is their median.
+   Each window starts with a VmHWM reset, so VmHWM at its end is the
+   window's peak and set-up's own peak is left out.  On serve the median
+   keeps a window in which the garbage collector let the heap run up
+   from deciding the figure.  Where the reset is refused, VmRSS at the
+   window's end stands in, and [window_peaks_kind] says so. *)
+let window_peaks = ref []
+
+let peak_resets = ref false
+
+let start_rss_windows () =
+  window_peaks := [];
+  peak_resets := reset_peak_rss ()
+
+let end_rss_window () =
+  let v = if !peak_resets then status_mib "VmHWM" else status_mib "VmRSS" in
+  window_peaks := v :: !window_peaks;
+  if !peak_resets then peak_resets := reset_peak_rss ()
+
+let window_peaks_kind () =
+  if !peak_resets then "VmHWM reset per window" else "VmRSS at window ends (VmHWM reset refused)"
 
 (* Size in bytes of the highest-level CPU cache sysfs reports. *)
 let llc_bytes () =

@@ -394,11 +394,17 @@ let first_job_doc doc =
 let timed_batches (args : args) ~what ~jobs ~metrics ~setups batch =
   let dispatches = Util.Parallel.pool_dispatches () in
   let t = Util.Timer.start () in
+  Ledger.start_rss_windows ();
   let rec loop acc =
     if acc <> [] && (args.trace || Ledger.elapsed_since t >= args.seconds) then List.rev acc
     else
       match Ledger.guard what (fun () -> batch ~first:(acc = [])) with
-      | Some b -> loop (b :: acc)
+      | Some b ->
+          (* The heap grows over the first three batches before it
+             levels off, so a peak over several batches would depend on
+             how many fit in the run: only the first batch's counts. *)
+          if acc = [] then Ledger.end_rss_window ();
+          loop (b :: acc)
       | None -> List.rev acc
   in
   let batches = loop [] in
@@ -749,29 +755,27 @@ let serve_workload args ~nodes ~domains ~run_dir =
     Domain.join server
   in
   (* Set-up: daemon start plus priming with the first request, which
-     builds every factor the later requests share. *)
-  let setups, started =
-    List.split
-      (List.init 3 (fun i ->
-           let rng = Random.State.copy rng in
-           let cache = fresh_dir (Filename.concat run_dir (Printf.sprintf "cache%d" i)) in
-           let (srv, prime_line, prime), dt =
-             Ledger.timed (fun () ->
-                 let prime_line = batch_request_line (request_doc rng) in
-                 let srv = start_server cache in
-                 (srv, prime_line, rpc (snd srv) prime_line))
-           in
-           (* Only the last daemon stays up for the timed loop. *)
-           if i < 2 then begin
-             stop_server srv;
-             rm_rf cache
-           end;
-           (dt, (srv, cache, rng, prime_line, prime))))
+     builds every factor the later requests share.  The timed loop's
+     daemon is the first the process starts, and the two further
+     set-ups behind the median come after the loop: with two daemons
+     started and stopped before it, the loop's resident set settled at
+     levels up to half apart from run to run. *)
+  let set_up i =
+    let rng = Random.State.copy rng in
+    let cache = fresh_dir (Filename.concat run_dir (Printf.sprintf "cache%d" i)) in
+    let (srv, prime_line, (prime_records, prime_term)), dt =
+      Ledger.timed (fun () ->
+          let prime_line = batch_request_line (request_doc rng) in
+          let srv = start_server cache in
+          (srv, prime_line, rpc (snd srv) prime_line))
+    in
+    check
+      (List.length prime_records = 4 && not (String.starts_with ~prefix:{|{"error"|} prime_term))
+      "priming request answered %s" prime_term;
+    (dt, (srv, cache, rng, prime_line, prime_records))
   in
-  let srv, cache, rng, prime_line, (prime_records, prime_term) = List.nth started 2 in
+  let first_setup, (srv, cache, rng, prime_line, prime_records) = set_up 0 in
   let control = snd srv in
-  check (List.length prime_records = 4 && not (String.starts_with ~prefix:{|{"error"|} prime_term))
-    "priming request answered %s" prime_term;
   let before = stats_counters control in
   (* Closed loop: two clients, each alternating a fresh request with a
      replay of a request answered earlier. *)
@@ -783,6 +787,10 @@ let serve_workload args ~nodes ~domains ~run_dir =
   let state = Array.make 2 None in
   let dispatches = Util.Parallel.pool_dispatches () in
   let t = Util.Timer.start () in
+  (* Resident-set windows of half a second; the select timeout below
+     keeps a window from running much past that. *)
+  Ledger.start_rss_windows ();
+  let window = ref (Util.Timer.start ()) in
   let issue i ~fresh =
     let kind, line =
       if fresh then begin
@@ -821,7 +829,7 @@ let serve_workload args ~nodes ~domains ~run_dir =
   let last_progress = ref (Util.Timer.start ()) in
   while Array.exists Option.is_some state do
     let fds = List.filter_map (fun i -> Option.map (fun _ -> clients.(i).fd) state.(i)) [ 0; 1 ] in
-    let ready, _, _ = Unix.select fds [] [] 1.0 in
+    let ready, _, _ = Unix.select fds [] [] 0.1 in
     if ready = [] && Ledger.elapsed_since !last_progress > 120.0 then
       failwith "serve clients stalled";
     List.iter
@@ -839,9 +847,14 @@ let serve_workload args ~nodes ~domains ~run_dir =
                 end
             | None -> check false "unexpected line from the server: %s" line)
           (read_lines clients.(i)))
-      ready
+      ready;
+    if Ledger.elapsed_since !window >= 0.5 then begin
+      Ledger.end_rss_window ();
+      window := Util.Timer.start ()
+    end
   done;
   let elapsed = Ledger.elapsed_since t in
+  Ledger.end_rss_window ();
   Array.iter (fun c -> Unix.close c.fd) clients;
   let after = stats_counters control in
   let delta name = after name - before name in
@@ -855,6 +868,14 @@ let serve_workload args ~nodes ~domains ~run_dir =
     (float_of_int (Util.Parallel.pool_dispatches () - dispatches)
     /. float_of_int (max 1 !requests));
   stop_server srv;
+  let setups =
+    first_setup
+    :: List.init 2 (fun i ->
+           let dt, (srv, cache, _, _, _) = set_up (i + 1) in
+           stop_server srv;
+           rm_rf cache;
+           dt)
+  in
   let e2e =
     {
       jobs = 4 * !requests;
@@ -971,8 +992,12 @@ let () =
         "request_tail_s is p%.1f of %d request samples; first_record_s is the mean of %d, \
          setup_s the median of %d\n"
         pct samples (List.length e2e.first_records) (List.length e2e.setups);
+      Printf.printf "peak_rss_mb is the median of %d window peaks (%s)\n"
+        (List.length !Ledger.window_peaks) (Ledger.window_peaks_kind ());
       let show xs = String.concat " " (List.map (Printf.sprintf "%.3f") xs) in
-      Printf.printf "requests (s): %s\nset-ups (s): %s\n" (show e2e.requests) (show e2e.setups);
+      Printf.printf "requests (s): %s\nset-ups (s): %s\nwindow peaks (MiB): %s\n"
+        (show e2e.requests) (show e2e.setups)
+        (show (List.rev !Ledger.window_peaks));
       if args.trace then begin
         (match Ledger.guard "traced pass" traced with
         | Some (tr, p, registry, request_line) ->
@@ -1011,5 +1036,5 @@ let () =
             ("request_p50_s", Ledger.median e2e.requests, "s");
             ("request_tail_s", tail, "s");
             ("setup_s", Ledger.median e2e.setups, "s");
-            ("peak_rss_mb", Ledger.peak_rss_mib (), "MiB");
+            ("peak_rss_mb", Ledger.median !Ledger.window_peaks, "MiB");
           ]
