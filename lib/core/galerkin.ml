@@ -215,7 +215,17 @@ let st_stats (m : Stochastic_model.t) (st : St_solver.stats) =
     health = st.St_solver.health;
   }
 
-let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
+(* The iterative routes' mean block, [Precond.make] on the nominal G —
+   or the caller's prebuilt one (a batch group shares it across jobs). *)
+let dc_mean_block ?mean ~options m =
+  match mean with
+  | Some p -> p
+  | None ->
+      let ga = nominal_matrix m m.Stochastic_model.g_terms in
+      Util.Metrics.span options.metrics "galerkin.factor_s" (fun () ->
+          Linalg.Precond.make ~ordering:options.ordering options.precond ga)
+
+let solve_dc ?(options = default_options) ?mean ?gt (m : Stochastic_model.t) =
   let size = Polychaos.Basis.size m.basis in
   let dim = size * m.n in
   let drain_buf = Array.make m.n 0.0 in
@@ -223,6 +233,7 @@ let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
   rhs_into m ~drain_buf 0.0 rhs;
   let metrics = options.metrics in
   let agg = Linalg.Solve_report.agg_create () in
+  let assembled_gt () = match gt with Some g -> g | None -> assemble_g m in
   let direct_gt_solve gt () =
     let perm = block_ordering ~kind:options.ordering m in
     let f = Linalg.Sparse_cholesky.factor ~perm gt in
@@ -230,15 +241,11 @@ let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
   in
   match options.solver with
   | Direct ->
-      let gt = assemble_g m in
+      let gt = assembled_gt () in
       Util.Metrics.span metrics "galerkin.factor_s" (fun () -> direct_gt_solve gt ())
   | Mean_pcg { tol; max_iter } ->
-      let gt = assemble_g m in
-      let ga = nominal_matrix m m.g_terms in
-      let ms0 =
-        Util.Metrics.span metrics "galerkin.factor_s" (fun () ->
-            Linalg.Precond.make ~ordering:options.ordering options.precond ga)
-      in
+      let gt = assembled_gt () in
+      let ms0 = dc_mean_block ?mean ~options m in
       let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
       let x, report =
         Linalg.Cg.solve_report ~precond ~max_iter ~tol ~matvec:(Linalg.Sparse.mul_vec gt)
@@ -252,11 +259,7 @@ let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
          block-structured Galerkin_op apply, the preconditioner the
          factorized n x n nominal block. *)
       let op = Galerkin_op.gt ~domains:options.domains m in
-      let ga = nominal_matrix m m.g_terms in
-      let ms0 =
-        Util.Metrics.span metrics "galerkin.factor_s" (fun () ->
-            Linalg.Precond.make ~ordering:options.ordering options.precond ga)
-      in
+      let ms0 = dc_mean_block ?mean ~options m in
       let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
       let mv = Array.make dim 0.0 in
       let matvec x =
@@ -269,7 +272,7 @@ let solve_dc ?(options = default_options) (m : Stochastic_model.t) =
       in
       apply_policy ~policy:options.policy ~metrics ~agg
         ~context:(fun () -> "dc solve (matrix-free-pcg)")
-        ~fallback:(fun () -> direct_gt_solve (assemble_g m) ())
+        ~fallback:(fun () -> direct_gt_solve (assembled_gt ()) ())
         x report
   | St { tol; max_refine; candidates; seed } ->
       (* Decoupled testing-point route; every point is refined to [tol]

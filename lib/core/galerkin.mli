@@ -147,8 +147,20 @@ val block_ordering : ?kind:Linalg.Ordering.kind -> Stochastic_model.t -> Linalg.
     ordering and reuse it across every factorization that shares the
     grid pattern. *)
 
-val solve_dc : ?options:options -> Stochastic_model.t -> Linalg.Vec.t
-(** Stochastic DC solution (augmented coefficients at t = 0). *)
+val solve_dc :
+  ?options:options -> ?mean:Linalg.Precond.t -> ?gt:Linalg.Sparse.t -> Stochastic_model.t ->
+  Linalg.Vec.t
+(** Stochastic DC solution (augmented coefficients at t = 0).
+
+    [mean] and [gt] hand in artifacts a caller already holds, so a
+    batch of DC jobs on one operator builds them once: [mean] is the
+    mean-block preconditioner of the iterative routes (default:
+    [Precond.make ~ordering:options.ordering options.precond] on the
+    nominal G, built here), [gt] the assembled augmented [Gt] (default:
+    {!assemble_g}, built here when a route needs it — [Direct],
+    [Mean_pcg], and a matrix-free fallback).  Both are only read, and
+    supplying artifacts built the default way leaves the coefficients
+    bitwise unchanged.  [St] ignores both. *)
 
 val solve_transient :
   ?options:options -> Stochastic_model.t -> h:float -> steps:int -> Response.t * stats

@@ -49,6 +49,8 @@ type t =
 
 let of_factor f = Exact f
 
+let of_amg t = Multigrid t
+
 let make ?(cycles = 1) ?perm ?(ordering = Ordering.Nested_dissection) kind a =
   let n, _ = Sparse.dims a in
   match resolve kind ~n with

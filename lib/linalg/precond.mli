@@ -37,6 +37,10 @@ val make : ?cycles:int -> ?perm:Perm.t -> ?ordering:Ordering.kind -> kind -> Spa
 val of_factor : Sparse_cholesky.t -> t
 (** Wrap an existing exact factor (callers that already built one). *)
 
+val of_amg : Amg.t -> t
+(** Wrap an existing AMG hierarchy — one built by [make Amg] or replayed
+    from its v2 artifact ({!Amg.of_frame_sections}). *)
+
 val backend : t -> kind
 (** The resolved backend ([Auto] never appears). *)
 

@@ -133,6 +133,10 @@ type galerkin_ctx = {
   fdc : Linalg.Sparse_cholesky.t option;  (** Direct route: factor of Gt *)
   fmt : (float * Linalg.Sparse_cholesky.t) list;  (** Direct route: Gt + Ct/h per h *)
   ct : Linalg.Sparse.t option;  (** assembled Ct for stepping right-hand sides *)
+  mean : Linalg.Precond.t option;
+      (** iterative routes with DC members: the mean-block
+          preconditioner every DC job of the group applies *)
+  gt : Linalg.Sparse.t option;  (** [pcg] route with DC members: the assembled Gt *)
 }
 
 type special_ctx = {
@@ -172,7 +176,44 @@ let stepping_hs members =
          match j.analysis with Job.Dc -> None | _ -> Some j.h)
   |> List.sort_uniq compare
 
-let build_galerkin_ctx store count ~precond (rep : Job.t) members =
+(* The DC members' mean-block preconditioner, built once per group and
+   exactly as the solver's own [Precond.make ~ordering] would build it,
+   so records stay bitwise: the exact factor through the factor cache,
+   the AMG hierarchy through the v2 section store (a warm run maps it
+   instead of rebuilding), IC(0) in place.  Hierarchy and IC(0) setups
+   count in [engine.precond_builds], exact factors in the
+   factorizations. *)
+let mean_block store count ~metrics ~precond (rep : Job.t) model =
+  let ga = Opera.St_solver.mean_g model in
+  let n = model.Opera.Stochastic_model.n in
+  let ordering = Opera.Galerkin.default_options.Opera.Galerkin.ordering in
+  let built () = Util.Metrics.incr metrics "engine.precond_builds" in
+  match Linalg.Precond.resolve precond ~n with
+  | Linalg.Precond.Cholesky ->
+      Linalg.Precond.of_factor
+        (cached_factor store ~count ~key:(tagged_key rep "mean-chol") ~dim:n (fun () ->
+             Linalg.Sparse_cholesky.factor ~ordering ga))
+  | Linalg.Precond.Amg ->
+      Linalg.Precond.of_amg
+        (Store.find_or_build_sections store ~kind:Linalg.Amg.artifact_kind
+           ~version:Linalg.Amg.artifact_version ~key:(tagged_key rep "mean-amg")
+           ~encode:Linalg.Amg.to_frame
+           ~decode:(fun d sections ->
+             let t = Linalg.Amg.of_frame_sections d sections in
+             if Linalg.Amg.dim t <> n then
+               raise
+                 (Util.Codec.Corrupt
+                    (Printf.sprintf "amg artifact has dimension %d, operator needs %d"
+                       (Linalg.Amg.dim t) n));
+             t)
+           ~build:(fun () ->
+             built ();
+             Linalg.Amg.build ga))
+  | kind ->
+      built ();
+      Linalg.Precond.make ~ordering kind ga
+
+let build_galerkin_ctx store count ~metrics ~precond (rep : Job.t) members =
   let circuit, gvdd, gspec =
     match rep.Job.source with
     | Job.Generated { nodes } ->
@@ -188,10 +229,21 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
   in
   match rep.solver with
   | Opera.Galerkin.Mean_pcg _ | Opera.Galerkin.Matrix_free_pcg _ ->
-      (* Iterative jobs run through the full Galerkin machinery; they
-         share the expanded model (and the cached triple-product tensor)
-         but factor their small nominal blocks per job. *)
-      Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = []; ct = None }
+      (* Iterative jobs run through the full Galerkin machinery on the
+         shared model (and cached triple-product tensor).  The group's
+         DC jobs also share one mean-block preconditioner and, on the
+         assembled route, one Gt; transient jobs still set up their own
+         stepping blocks per job. *)
+      let dc =
+        Array.exists (fun (j : Job.t) -> match j.analysis with Job.Dc -> true | _ -> false) members
+      in
+      let mean = if dc then Some (mean_block store count ~metrics ~precond rep model) else None in
+      let gt =
+        match rep.solver with
+        | Opera.Galerkin.Mean_pcg _ when dc -> Some (Opera.Galerkin.assemble_g model)
+        | _ -> None
+      in
+      Galerkin_ctx { model; gspec; gvdd; fdc = None; fmt = []; ct = None; mean; gt }
   | Opera.Galerkin.Direct ->
       let size = Polychaos.Basis.size model.Opera.Stochastic_model.basis in
       let dim = size * model.Opera.Stochastic_model.n in
@@ -223,7 +275,7 @@ let build_galerkin_ctx store count ~precond (rep : Job.t) members =
             (h, f))
           hs
       in
-      Galerkin_ctx { model; gspec; gvdd; fdc = Some fdc; fmt; ct }
+      Galerkin_ctx { model; gspec; gvdd; fdc = Some fdc; fmt; ct; mean = None; gt = None }
   | Opera.Galerkin.St { candidates; seed; _ } ->
       (* Decoupled point solves on grid-sized (n, not size*n) matrices.
          Selection is deterministic given (basis, candidates, seed) and
@@ -333,10 +385,11 @@ let build_special_ctx store count (rep : Job.t) members =
   in
   Special_ctx { sc; sspec; sfdc; sfbe }
 
-let build_ctx store count ~precond (rep : Job.t) members =
+let build_ctx store count ~metrics ~precond (rep : Job.t) members =
   match rep.analysis with
   | Job.Special _ -> build_special_ctx store count rep members
-  | Job.Dc | Job.Transient | Job.Yield _ -> build_galerkin_ctx store count ~precond rep members
+  | Job.Dc | Job.Transient | Job.Yield _ ->
+      build_galerkin_ctx store count ~metrics ~precond rep members
 
 (* ---- per-job execution ----------------------------------------------- *)
 
@@ -528,7 +581,7 @@ let run_galerkin_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start ~
   | Job.Dc, None ->
       let model = scaled_model ctx.model job in
       let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
-      let coefs = Opera.Galerkin.solve_dc ~options model in
+      let coefs = Opera.Galerkin.solve_dc ~options ?mean:ctx.mean ?gt:ctx.gt model in
       (dc_record job ~vdd ~model ~probe coefs, None)
   | (Job.Transient | Job.Yield _), _ ->
       let response =
@@ -700,7 +753,7 @@ let run ?(config = default_config) ?emit jobs =
       let rep = jobs.(pending.(members.(0))) in
       let ctx =
         Util.Metrics.span metrics "engine.group_setup_s" (fun () ->
-            build_ctx store count ~precond:config.precond rep
+            build_ctx store count ~metrics ~precond:config.precond rep
               (Array.map (fun i -> jobs.(pending.(i))) members))
       in
       Array.iter (fun i -> ctx_of.(pending.(i)) <- Some ctx) members)

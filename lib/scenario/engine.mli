@@ -14,8 +14,12 @@
     mean-matrix factor and one stepping factor {e per testing point} all
     go through the store, so a warm [st] batch performs zero
     factorizations); iterative jobs ([pcg], [matrix-free]) share the
-    expanded model and cached tensor but factor their small nominal
-    blocks per job.  Batch transients use backward Euler.
+    expanded model and cached tensor.  Their DC jobs also share one
+    mean-block preconditioner per group — the exact factor through the
+    store, the AMG hierarchy as a mapped v2 [amg] artifact, IC(0) built
+    once — and, on the [pcg] route, one assembled Gt; iterative
+    transients still set up their stepping blocks per job.  Batch
+    transients use backward Euler.
 
     Crash safety: when a cache dir is configured, every completed job is
     journaled into the results {!Registry} (atomic per-entry writes)
@@ -49,7 +53,8 @@ type config = {
       (** inner solver parallelism per job; forced to 1 whenever
           [jobs_parallel > 1] so the domain count stays bounded *)
   metrics : Util.Metrics.t;
-      (** receives [engine.factorizations], [engine.jobs],
+      (** receives [engine.factorizations], [engine.precond_builds] (AMG
+          and IC(0) mean-block setups), [engine.jobs],
           [engine.group_setup_s], [engine.step_s], the [store.*] and
           [registry.*] counters, and every per-job registry (merged
           post-join) *)

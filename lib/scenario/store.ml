@@ -45,14 +45,15 @@ let touch file =
 
 (* The shared skeleton of both lookup shapes: count the miss and encode
    on rebuild, never trust a damaged artifact (log, drop, rebuild), and
-   classify every decode outcome.  [read] returns the raw load result;
+   classify every decode outcome.  [write] publishes a rebuilt value to
+   [file]; [read] returns the raw load result;
    [finish] turns it into the value (both may raise [Corrupt]). *)
 let lookup t ~file ~write ~read ~finish ~on_hit ~build =
   let rebuild () =
     t.stats.misses <- t.stats.misses + 1;
     Util.Metrics.incr t.metrics "store.misses";
     let value = build () in
-    Util.Codec.write_file file (write value);
+    write value;
     t.stats.writes <- t.stats.writes + 1;
     Util.Metrics.incr t.metrics "store.writes";
     value
@@ -89,7 +90,8 @@ let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
   | None -> build ()
   | Some file ->
       lookup t ~file
-        ~write:(fun value -> Util.Codec.frame ~kind ~version (encode value))
+        ~write:(fun value ->
+          Util.Codec.write_file file (Util.Codec.frame ~kind ~version (encode value)))
         ~read:(fun () -> Util.Codec.read_frame ~kind ~version file)
         ~finish:(fun d ->
           let value = decode d in
@@ -105,7 +107,7 @@ let find_or_build_sections t ~kind ~version ~key ~encode ~decode ~build =
       lookup t ~file
         ~write:(fun value ->
           let meta, sections = encode value in
-          Util.Codec.frame_v2 ~kind ~version ~meta ~sections)
+          Util.Codec.write_frame_v2 file ~kind ~version ~meta ~sections)
         ~read:(fun () -> Util.Codec.read_frame_v2 ~kind ~version file)
         ~finish:(fun (d, sections) ->
           let value = decode d sections in

@@ -78,7 +78,9 @@ val find_or_build_sections :
   build:(unit -> 'a) ->
   'a
 (** {!find_or_build} over v2 section frames ({!Util.Codec.frame_v2}).
-    [encode] splits a value into scalar meta plus raw numeric sections;
+    [encode] splits a value into scalar meta plus raw numeric sections,
+    which a miss streams to disk ({!Util.Codec.write_frame_v2}) without
+    an encoded copy in memory;
     on hit, [decode] receives the meta decoder and zero-copy
     [Unix.map_file]-backed section views when the host allows mapping
     (a warm million-node preconditioner replays without decoding its

@@ -203,11 +203,11 @@ let process_umask =
   ignore (Unix.umask m);
   m
 
-let write_file path (data : string) =
-  (* Atomic-ish: write a sibling temp file, then rename over the target,
-     so a crash mid-write never leaves a half-frame under the final name
-     (the checksum would catch it anyway; this avoids even transient
-     corruption being visible). *)
+(* Atomic-ish: [write] fills a sibling temp file, which is then renamed
+   over the target, so a crash mid-write never leaves a half-frame under
+   the final name (the checksum would catch it anyway; this avoids even
+   transient corruption being visible). *)
+let write_atomic path (write : out_channel -> unit) =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "codec" ".tmp" in
   let oc = open_out_bin tmp in
@@ -215,7 +215,7 @@ let write_file path (data : string) =
      Fun.protect
        ~finally:(fun () -> close_out_noerr oc)
        (fun () ->
-         output_string oc data;
+         write oc;
          (* flush errors must propagate, not be swallowed by the
             finally's noerr close; closing twice is harmless *)
          close_out oc)
@@ -227,6 +227,8 @@ let write_file path (data : string) =
      0644 modulo the process umask before publishing the name. *)
   (try Unix.chmod tmp (0o644 land lnot process_umask) with Unix.Unix_error _ -> ());
   Sys.rename tmp path
+
+let write_file path (data : string) = write_atomic path (fun oc -> output_string oc data)
 
 let read_file path =
   (* [None] means only "no file to read" (open failed).  A file that
@@ -393,14 +395,16 @@ let section_len = function
 
 let section_tag = function F_arr _ | F_big _ -> 2L | I_arr _ | I_big _ -> 1L
 
-let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data list) =
+(* Payload layout shared by both writers: the prelude, section table
+   and meta as one small string, then each section's payload offset —
+   padded so its FILE offset (header + payload offset) is 8-aligned —
+   and the total payload length. *)
+let v2_layout ~kind ~(meta : encoder -> unit) sections =
   let meta_buf = encoder ~initial_size:1024 () in
   meta meta_buf;
   let meta_str = Buffer.contents meta_buf in
-  let sections = Array.of_list sections in
   let nsect = Array.length sections in
   let payload_off = header_bytes ~kind in
-  (* Lay offsets out first: table, meta, then the 8-file-aligned runs. *)
   let table_off = 16 in
   let meta_off = table_off + (24 * nsect) in
   let cursor = ref (meta_off + 8 + String.length meta_str) in
@@ -411,8 +415,7 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
       offs.(i) <- !cursor + pad;
       cursor := offs.(i) + (8 * section_len s))
     sections;
-  let payload_len = !cursor in
-  let e = encoder ~initial_size:(payload_len + 64) () in
+  let e = encoder ~initial_size:(meta_off + 8 + String.length meta_str) () in
   Buffer.add_char e (Char.chr Sys.int_size);
   Buffer.add_char e (if Sys.big_endian then '\000' else '\001');
   Buffer.add_string e "\000\000\000\000\000\000";
@@ -424,6 +427,13 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
       write_int e (section_len s))
     sections;
   write_string e meta_str;
+  (Buffer.contents e, offs, !cursor)
+
+let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data list) =
+  let sections = Array.of_list sections in
+  let prefix, offs, payload_len = v2_layout ~kind ~meta sections in
+  let e = encoder ~initial_size:(payload_len + 64) () in
+  Buffer.add_string e prefix;
   Array.iteri
     (fun i s ->
       for _ = Buffer.length e to offs.(i) - 1 do
@@ -451,6 +461,84 @@ let frame_v2 ~kind ~version ~(meta : encoder -> unit) ~(sections : section_data 
   write_i64 f (fnv1a payload);
   Buffer.add_string f payload;
   Buffer.contents f
+
+(* Streaming v2 writer: the same bytes as [frame_v2], but the payload
+   passes through one fixed chunk on its way to the file, the FNV-1a
+   checksum folded over each chunk as it is written.  The header goes
+   out with a zero length and checksum, patched in place once the
+   payload is done — so a large section set is never resident as a
+   second (or fourth) encoded copy. *)
+let write_chunk_size = 65536
+
+let write_frame_v2 path ~kind ~version ~(meta : encoder -> unit)
+    ~(sections : section_data list) =
+  let sections = Array.of_list sections in
+  let prefix, offs, _ = v2_layout ~kind ~meta sections in
+  write_atomic path (fun oc ->
+      let hdr = encoder ~initial_size:(header_bytes ~kind) () in
+      Buffer.add_string hdr magic;
+      Buffer.add_char hdr (Char.chr format_version_v2);
+      write_string hdr kind;
+      write_int hdr version;
+      let length_pos = Buffer.length hdr in
+      write_int hdr 0;
+      write_i64 hdr 0L;
+      output_string oc (Buffer.contents hdr);
+      let chunk = Bytes.create write_chunk_size in
+      let fill = ref 0 and written = ref 0 and h = ref fnv1a_init in
+      let drain () =
+        h := fnv1a_fold !h chunk 0 !fill;
+        output oc chunk 0 !fill;
+        written := !written + !fill;
+        fill := 0
+      in
+      let put_char c =
+        if !fill = write_chunk_size then drain ();
+        Bytes.set chunk !fill c;
+        incr fill
+      in
+      (* Room for one 8-byte element: drain a chunk that cannot take it. *)
+      let room () = if !fill + 8 > write_chunk_size then drain () in
+      String.iter put_char prefix;
+      Array.iteri
+        (fun i s ->
+          while !written + !fill < offs.(i) do
+            put_char '\000'
+          done;
+          match s with
+          | F_arr a ->
+              Array.iter
+                (fun v ->
+                  room ();
+                  Bytes.set_int64_le chunk !fill (Int64.bits_of_float v);
+                  fill := !fill + 8)
+                a
+          | I_arr a ->
+              Array.iter
+                (fun v ->
+                  room ();
+                  Bytes.set_int64_le chunk !fill (Int64.of_int v);
+                  fill := !fill + 8)
+                a
+          | F_big b ->
+              for j = 0 to Bigarray.Array1.dim b - 1 do
+                room ();
+                Bytes.set_int64_le chunk !fill (Int64.bits_of_float (Bigarray.Array1.get b j));
+                fill := !fill + 8
+              done
+          | I_big b ->
+              for j = 0 to Bigarray.Array1.dim b - 1 do
+                room ();
+                Bytes.set_int64_le chunk !fill (Int64.of_int (Bigarray.Array1.get b j));
+                fill := !fill + 8
+              done)
+        sections;
+      drain ();
+      let tail = Bytes.create 16 in
+      Bytes.set_int64_le tail 0 (Int64.of_int !written);
+      Bytes.set_int64_le tail 8 !h;
+      seek_out oc length_pos;
+      output oc tail 0 16)
 
 (* Parse the prelude + section table out of a decoder positioned at the
    start of a v2 payload.  Returns (word_bits, little_endian, table)

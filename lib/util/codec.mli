@@ -158,6 +158,20 @@ val frame_v2 :
     ints, IEEE-754 bits for floats) regardless of host order, so the
     frame reads back anywhere; mapping is what needs a matching host. *)
 
+val write_frame_v2 :
+  string ->
+  kind:string ->
+  version:int ->
+  meta:(encoder -> unit) ->
+  sections:section_data list ->
+  unit
+(** [write_frame_v2 path ~kind ~version ~meta ~sections] writes exactly
+    the bytes of {!frame_v2} to [path], streaming the payload through
+    one fixed chunk and folding the checksum as it goes; the header's
+    length and checksum are patched in place at the end.  The file is
+    published like {!write_file} (temp file, mode, rename), and no
+    encoded copy of the sections is ever held in memory. *)
+
 val read_frame_v2 :
   ?map:bool -> kind:string -> version:int -> string -> (decoder * sections) option
 (** Load a v2 frame: the meta decoder plus section views.  With

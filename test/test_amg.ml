@@ -228,6 +228,45 @@ let test_codec_rejects_truncation () =
            false
          with Util.Codec.Corrupt _ -> true))
 
+(* The streaming writer must lay down exactly the in-memory frame's
+   bytes: level sections are Bigarrays, the coarsest operator plain
+   arrays, the fixture spans several write chunks, and a kind tag that
+   leaves the header off 8-byte alignment forces section padding. *)
+let test_streamed_write_matches_frame () =
+  let amg = Linalg.Amg.build (mesh_matrix 48) in
+  let meta, sections = Linalg.Amg.to_frame amg in
+  Alcotest.(check bool) "fixture has array and Bigarray sections" true
+    (List.exists (function Util.Codec.I_arr _ | Util.Codec.F_arr _ -> true | _ -> false) sections
+    && List.exists
+         (function Util.Codec.I_big _ | Util.Codec.F_big _ -> true | _ -> false)
+         sections);
+  let file = Filename.temp_file "opera-amg" ".opra" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun kind ->
+          let version = Linalg.Amg.artifact_version in
+          let expect = Util.Codec.frame_v2 ~kind ~version ~meta ~sections in
+          Util.Codec.write_frame_v2 file ~kind ~version ~meta ~sections;
+          let got =
+            match Util.Codec.read_file file with Some s -> s | None -> Alcotest.fail "no file"
+          in
+          Alcotest.(check bool) (kind ^ ": spans several chunks") true
+            (String.length expect > 3 * 65536);
+          Alcotest.(check int) (kind ^ ": same length") (String.length expect) (String.length got);
+          Alcotest.(check bool)
+            (kind ^ ": byte-identical to frame_v2")
+            true (String.equal expect got);
+          match Util.Codec.read_frame_v2 ~kind ~version file with
+          | None -> Alcotest.fail "streamed artifact unreadable"
+          | Some (d, s) ->
+              let rng = Helpers.rng () in
+              check_same_apply (kind ^ ": streamed hierarchy applies bitwise") amg
+                (Linalg.Amg.of_frame_sections d s)
+                (Helpers.random_vec rng (48 * 48)))
+        [ Linalg.Amg.artifact_kind; "amg-padded" ])
+
 let test_store_mapped_replay () =
   let a = mesh_matrix 16 in
   let n = 16 * 16 in
@@ -277,6 +316,8 @@ let suite =
     Alcotest.test_case "v2 codec roundtrip (copying)" `Quick test_codec_roundtrip_copying;
     Alcotest.test_case "v2 codec roundtrip (mapped)" `Quick test_codec_roundtrip_mapped;
     Alcotest.test_case "v2 codec rejects truncation" `Quick test_codec_rejects_truncation;
+    Alcotest.test_case "streamed v2 write = frame_v2 bytes" `Quick
+      test_streamed_write_matches_frame;
     Alcotest.test_case "store replay of the hierarchy is mapped and bitwise" `Quick
       test_store_mapped_replay;
   ]

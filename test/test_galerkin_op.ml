@@ -220,6 +220,46 @@ let test_amg_precond_bitwise_across_domains () =
     done
   done
 
+(* --- caller-supplied mean block and Gt ----------------------------------- *)
+
+(* A batch group hands every DC job one prebuilt mean-block
+   preconditioner (and, on the assembled route, one Gt).  Artifacts
+   built the default way must leave the coefficients bitwise unchanged,
+   and the solver must really use them: no mean-block setup of its own,
+   no Gt assembly on the pcg route. *)
+let test_supplied_mean_and_gt_bitwise () =
+  let m = small_model () in
+  List.iter
+    (fun (route, solver) ->
+      List.iter
+        (fun precond ->
+          let what = Printf.sprintf "%s/%s" route (Linalg.Precond.to_string precond) in
+          let options metrics = { (solver_options solver) with Opera.Galerkin.precond; metrics } in
+          let reference = Opera.Galerkin.solve_dc ~options:(options (Util.Metrics.create ())) m in
+          let mean =
+            Linalg.Precond.make ~ordering:Opera.Galerkin.default_options.Opera.Galerkin.ordering
+              precond (Opera.St_solver.mean_g m)
+          in
+          let gt = Opera.Galerkin.assemble_g m in
+          let metrics = Util.Metrics.create () in
+          let krons = Linalg.Sparse.kron_count () in
+          let supplied = Opera.Galerkin.solve_dc ~options:(options metrics) ~mean ~gt m in
+          Alcotest.(check int) (what ^ ": no mean-block setup") 0
+            (Util.Metrics.observations metrics "galerkin.factor_s");
+          Alcotest.(check int) (what ^ ": no Gt assembly") krons (Linalg.Sparse.kron_count ());
+          Alcotest.(check int) (what ^ ": same length") (Array.length reference)
+            (Array.length supplied);
+          Array.iteri
+            (fun i v ->
+              if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float supplied.(i))) then
+                Alcotest.failf "%s: coefficient %d differs: %.17g vs %.17g" what i v supplied.(i))
+            reference)
+        [ Linalg.Precond.Cholesky; Linalg.Precond.Ic0; Linalg.Precond.Amg ])
+    [
+      ("pcg", Opera.Galerkin.Mean_pcg { tol = 1e-12; max_iter = 2000 });
+      ("matrix-free", Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 2000 });
+    ]
+
 (* --- never assembles the Kronecker product ----------------------------- *)
 
 let test_matrix_free_never_calls_kron () =
@@ -268,6 +308,8 @@ let suite =
     Alcotest.test_case "AMG precond DC = direct" `Quick test_amg_precond_matches_direct;
     Alcotest.test_case "AMG precond bitwise across domains" `Quick
       test_amg_precond_bitwise_across_domains;
+    Alcotest.test_case "supplied mean block and Gt = in-place setup (bitwise)" `Quick
+      test_supplied_mean_and_gt_bitwise;
     Alcotest.test_case "never calls kron" `Quick test_matrix_free_never_calls_kron;
     Alcotest.test_case "apply_into validation" `Quick test_apply_into_rejects_aliasing;
   ]

@@ -39,7 +39,8 @@ let fresh_dir () =
 let records_of results =
   Array.to_list (Array.map (fun r -> Util.Json.render r.Engine.record) results)
 
-let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics ?emit jobs =
+let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics
+    ?(precond = Linalg.Precond.Cholesky) ?emit jobs =
   let metrics = match metrics with Some m -> m | None -> Util.Metrics.create () in
   let config =
     {
@@ -48,7 +49,7 @@ let run ?cache_dir ?(jobs_parallel = 1) ?(resume = false) ?shard ?metrics ?emit 
       domains = 1;
       metrics;
       warm_start = true;
-      precond = Linalg.Precond.Cholesky;
+      precond;
       resume;
       shard;
     }
@@ -234,6 +235,97 @@ let test_corrupt_artifact_recovers_bitwise () =
   (* and the store healed: next run is warm again *)
   let _, healed = run ~cache_dir jobs in
   Alcotest.(check int) "healed store: zero factorizations" 0 healed.Engine.factorizations
+
+(* --- iterative DC groups share one mean block -------------------------- *)
+
+let pcg_amg_jobs () =
+  Array.init 3 (fun i ->
+      {
+        (base_job (Printf.sprintf "amg%d" i)) with
+        Job.solver = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 };
+        drain_scale = 0.5 +. (0.5 *. float_of_int i);
+      })
+
+let run_amg ?cache_dir ?jobs_parallel jobs =
+  let metrics = Util.Metrics.create () in
+  let results, summary =
+    run ?cache_dir ?jobs_parallel ~metrics ~precond:Linalg.Precond.Amg jobs
+  in
+  (records_of results, summary, Util.Metrics.counter metrics)
+
+let amg_artifacts cache_dir =
+  Array.to_list (Sys.readdir cache_dir)
+  |> List.filter (fun f -> String.starts_with ~prefix:(Linalg.Amg.artifact_kind ^ "-") f)
+
+let test_pcg_amg_dc_group_shares_hierarchy () =
+  let jobs = pcg_amg_jobs () in
+  let cache_dir = fresh_dir () in
+  let cold, cold_summary, cold_count = run_amg ~cache_dir jobs in
+  Alcotest.(check int) "1 group" 1 cold_summary.Engine.groups;
+  Alcotest.(check int) "cold: one hierarchy for the group, not one per job" 1
+    (cold_count "engine.precond_builds");
+  Alcotest.(check int) "cold: no factorization under amg" 0 cold_summary.Engine.factorizations;
+  Alcotest.(check int) "cold: one amg artifact stored" 1 (List.length (amg_artifacts cache_dir));
+  let warm, warm_summary, warm_count = run_amg ~cache_dir jobs in
+  Alcotest.(check int) "warm: zero AMG builds" 0 (warm_count "engine.precond_builds");
+  Alcotest.(check bool) "warm: the hierarchy is mapped" true (warm_count "store.map_hits" >= 1);
+  Alcotest.(check int) "warm: no full decode" 0 (warm_count "store.full_decodes");
+  Alcotest.(check int) "warm: zero misses" 0 warm_summary.Engine.cache_misses;
+  (* The jobs really run on the group's artifacts: none sets up a mean
+     block of its own, and three jobs assemble no more Gt than one. *)
+  let metrics = Util.Metrics.create () in
+  let krons = Linalg.Sparse.kron_count () in
+  ignore (run ~cache_dir ~metrics ~precond:Linalg.Precond.Amg jobs);
+  let krons_three = Linalg.Sparse.kron_count () - krons in
+  Alcotest.(check int) "no per-job mean-block setup" 0
+    (Util.Metrics.observations metrics "galerkin.factor_s");
+  let krons = Linalg.Sparse.kron_count () in
+  ignore (run ~cache_dir ~precond:Linalg.Precond.Amg [| jobs.(0) |]);
+  Alcotest.(check int) "one Gt assembly per group"
+    (Linalg.Sparse.kron_count () - krons)
+    krons_three;
+  let uncached, _, uncached_count = run_amg jobs in
+  Alcotest.(check int) "uncached: one build per group" 1 (uncached_count "engine.precond_builds");
+  Alcotest.(check (list string)) "warm records = cold records (bitwise)" cold warm;
+  Alcotest.(check (list string)) "uncached records = cold records (bitwise)" cold uncached;
+  (* Concurrent jobs apply the one shared hierarchy and Gt read-only. *)
+  let parallel, _, _ = run_amg ~jobs_parallel:3 jobs in
+  Alcotest.(check (list string)) "jobs_parallel=3 records = cold records (bitwise)" cold parallel
+
+(* A small SPD chain Laplacian: a valid hierarchy of the wrong size. *)
+let chain_laplacian n =
+  let b = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
+  for i = 0 to n - 1 do
+    Linalg.Sparse_builder.add b i i 0.01;
+    if i + 1 < n then Linalg.Sparse_builder.stamp_conductance b (Some i) (Some (i + 1)) 1.0
+  done;
+  Linalg.Sparse_builder.to_csc b
+
+let test_corrupt_amg_artifact_rebuilds_bitwise () =
+  let jobs = pcg_amg_jobs () in
+  let cache_dir = fresh_dir () in
+  let cold, _, _ = run_amg ~cache_dir jobs in
+  let file =
+    match amg_artifacts cache_dir with
+    | [ f ] -> Filename.concat cache_dir f
+    | fs -> Alcotest.failf "expected one amg artifact, found %d" (List.length fs)
+  in
+  let damage what corrupt_file =
+    corrupt_file ();
+    let records, summary, count = run_amg ~cache_dir jobs in
+    Alcotest.(check int) (what ^ ": counted as corrupt") 1 summary.Engine.cache_corrupt;
+    Alcotest.(check int) (what ^ ": hierarchy rebuilt once") 1 (count "engine.precond_builds");
+    Alcotest.(check (list string)) (what ^ ": records match the cold run bitwise") cold records;
+    let _, _, healed = run_amg ~cache_dir jobs in
+    Alcotest.(check int) (what ^ ": healed store maps again") 0 (healed "engine.precond_builds")
+  in
+  damage "truncated" (fun () ->
+      let bytes = Option.get (Util.Codec.read_file file) in
+      Util.Codec.write_file file (String.sub bytes 0 (String.length bytes / 2)));
+  damage "wrong dimension" (fun () ->
+      let meta, sections = Linalg.Amg.to_frame (Linalg.Amg.build (chain_laplacian 100)) in
+      Util.Codec.write_frame_v2 file ~kind:Linalg.Amg.artifact_kind
+        ~version:Linalg.Amg.artifact_version ~meta ~sections)
 
 (* --- jobs_parallel determinism --------------------------------------- *)
 
@@ -635,6 +727,10 @@ let suite =
       test_warm_run_zero_factorizations_bitwise;
     Alcotest.test_case "corrupt artifacts rebuild bitwise" `Slow
       test_corrupt_artifact_recovers_bitwise;
+    Alcotest.test_case "pcg+amg DC group: one hierarchy, mapped warm, bitwise" `Quick
+      test_pcg_amg_dc_group_shares_hierarchy;
+    Alcotest.test_case "corrupt amg artifacts rebuild bitwise" `Quick
+      test_corrupt_amg_artifact_rebuilds_bitwise;
     Alcotest.test_case "jobs_parallel never changes the stream" `Slow
       test_jobs_parallel_deterministic;
     Alcotest.test_case "engine transient = Galerkin.solve_transient" `Quick
