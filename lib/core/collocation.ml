@@ -20,6 +20,7 @@ let solve_transient ?points ?(probes = [||]) (m : Stochastic_model.t) ~h ~steps 
   let u = Array.make n 0.0 in
   let x = Array.make n 0.0 in
   let cx = Array.make n 0.0 in
+  let work = Array.make n 0.0 in
   let rec sweep d weight =
     if d = dim then begin
       incr runs;
@@ -57,7 +58,7 @@ let solve_transient ?points ?(probes = [||]) (m : Stochastic_model.t) ~h ~steps 
       let fdc = Linalg.Sparse_cholesky.factor ~perm g in
       inject 0.0;
       Array.blit u 0 x 0 n;
-      Linalg.Sparse_cholesky.solve_in_place fdc x;
+      Linalg.Sparse_cholesky.solve_in_place_ws fdc ~work x;
       accumulate 0;
       let fbe = Linalg.Sparse_cholesky.factor ~perm (Linalg.Sparse.axpy ~alpha:(1.0 /. h) c g) in
       for step = 1 to steps do
@@ -66,7 +67,7 @@ let solve_transient ?points ?(probes = [||]) (m : Stochastic_model.t) ~h ~steps 
         for i = 0 to n - 1 do
           x.(i) <- u.(i) +. (cx.(i) /. h)
         done;
-        Linalg.Sparse_cholesky.solve_in_place fbe x;
+        Linalg.Sparse_cholesky.solve_in_place_ws fbe ~work x;
         accumulate step
       done
     end

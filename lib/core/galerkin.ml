@@ -225,7 +225,20 @@ let dc_mean_block ?mean ~options m =
       Util.Metrics.span options.metrics "galerkin.factor_s" (fun () ->
           Linalg.Precond.make ~ordering:options.ordering options.precond ga)
 
-let solve_dc ?(options = default_options) ?mean ?gt (m : Stochastic_model.t) =
+(* A factor handed in by a caller must factor the augmented system of
+   this model, (N+1) n unknowns. *)
+let check_factor_dim ~what (m : Stochastic_model.t) f =
+  let dim = Polychaos.Basis.size m.basis * m.n in
+  if Linalg.Sparse_cholesky.dim f <> dim then
+    invalid_arg
+      (Printf.sprintf "Galerkin.%s: factor has dimension %d, the augmented system needs %d" what
+         (Linalg.Sparse_cholesky.dim f) dim)
+
+(* Name of a coupled PCG route in policy diagnostics. *)
+let pcg_name = function Matrix_free_pcg _ -> "matrix-free-pcg" | _ -> "mean-pcg"
+
+let solve_dc ?(options = default_options) ?factor ?mean ?gt (m : Stochastic_model.t) =
+  Option.iter (check_factor_dim ~what:"solve_dc" m) factor;
   let size = Polychaos.Basis.size m.basis in
   let dim = size * m.n in
   let drain_buf = Array.make m.n 0.0 in
@@ -233,46 +246,47 @@ let solve_dc ?(options = default_options) ?mean ?gt (m : Stochastic_model.t) =
   rhs_into m ~drain_buf 0.0 rhs;
   let metrics = options.metrics in
   let agg = Linalg.Solve_report.agg_create () in
-  let assembled_gt () = match gt with Some g -> g | None -> assemble_g m in
-  let direct_gt_solve gt () =
-    let perm = block_ordering ~kind:options.ordering m in
-    let f = Linalg.Sparse_cholesky.factor ~perm gt in
-    Linalg.Sparse_cholesky.solve f rhs
+  let gt = lazy (match gt with Some g -> g | None -> assemble_g m) in
+  let factor_gt () =
+    Linalg.Sparse_cholesky.factor ~perm:(block_ordering ~kind:options.ordering m) (Lazy.force gt)
   in
   match options.solver with
   | Direct ->
-      let gt = assembled_gt () in
-      Util.Metrics.span metrics "galerkin.factor_s" (fun () -> direct_gt_solve gt ())
-  | Mean_pcg { tol; max_iter } ->
-      let gt = assembled_gt () in
-      let ms0 = dc_mean_block ?mean ~options m in
-      let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
-      let x, report =
-        Linalg.Cg.solve_report ~precond ~max_iter ~tol ~matvec:(Linalg.Sparse.mul_vec gt)
-          ~b:rhs ~x0:(Array.make dim 0.0) ()
+      let f =
+        match factor with
+        | Some f -> f
+        | None -> Util.Metrics.span metrics "galerkin.factor_s" factor_gt
       in
-      apply_policy ~policy:options.policy ~metrics ~agg
-        ~context:(fun () -> "dc solve (mean-pcg)")
-        ~fallback:(direct_gt_solve gt) x report
-  | Matrix_free_pcg { tol; max_iter } ->
-      (* Never assembles the augmented operator: the matvec is the
-         block-structured Galerkin_op apply, the preconditioner the
-         factorized n x n nominal block. *)
-      let op = Galerkin_op.gt ~domains:options.domains m in
-      let ms0 = dc_mean_block ?mean ~options m in
-      let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
+      (* The factor may be shared with concurrent jobs, so the solve uses
+         scratch owned by this call. *)
+      Util.Metrics.span metrics "galerkin.step_s" (fun () ->
+          let x = Array.copy rhs in
+          Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:options.domains
+            ~work:(Array.make dim 0.0) x;
+          x)
+  | Mean_pcg { tol; max_iter } | Matrix_free_pcg { tol; max_iter } ->
+      let mul_gt_into =
+        match options.solver with
+        | Matrix_free_pcg _ ->
+            (* Never assembles the augmented operator: the matvec is the
+               block-structured Galerkin_op apply. *)
+            Galerkin_op.apply_into (Galerkin_op.gt ~domains:options.domains m)
+        | _ -> Linalg.Sparse.mul_vec_into (Lazy.force gt)
+      in
       let mv = Array.make dim 0.0 in
       let matvec x =
-        Galerkin_op.apply_into op x mv;
+        mul_gt_into x mv;
         mv
       in
+      let ms0 = dc_mean_block ?mean ~options m in
+      let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
       let x, report =
-        Linalg.Cg.solve_report ~precond ~max_iter ~tol ~matvec ~b:rhs
-          ~x0:(Array.make dim 0.0) ()
+        Linalg.Cg.solve_report ~precond ~max_iter ~tol ~matvec ~b:rhs ~x0:(Array.make dim 0.0) ()
       in
+      (* The matrix-free route assembles Gt only if the fallback runs. *)
       apply_policy ~policy:options.policy ~metrics ~agg
-        ~context:(fun () -> "dc solve (matrix-free-pcg)")
-        ~fallback:(fun () -> direct_gt_solve (assembled_gt ()) ())
+        ~context:(fun () -> Printf.sprintf "dc solve (%s)" (pcg_name options.solver))
+        ~fallback:(fun () -> Linalg.Sparse_cholesky.solve (factor_gt ()) rhs)
         x report
   | St { tol; max_refine; candidates; seed } ->
       (* Decoupled testing-point route; every point is refined to [tol]
@@ -310,7 +324,7 @@ let warm_stepper ~warm_start ~dim a =
   in
   (ws, guess, prepare, accept)
 
-let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
+let solve_transient_coupled ~options ?factors ?ct (m : Stochastic_model.t) ~h ~steps =
   let size = Polychaos.Basis.size m.basis in
   let dim = size * m.n in
   (* Backward Euler factors Gt + Ct/h; trapezoidal factors Gt + 2Ct/h
@@ -340,6 +354,11 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
     if !current_step = 0 then Printf.sprintf "dc solve (%s)" what
     else Printf.sprintf "transient step %d (%s)" !current_step what
   in
+  (* The assembled augmented matrices, built on first use: the
+     matrix-free route touches them only when a fallback needs them. *)
+  let gt = lazy (assemble_g m) in
+  let ct = lazy (match ct with Some c -> c | None -> assemble_c m) in
+  let mt = lazy (Linalg.Sparse.axpy ~alpha:ct_scale (Lazy.force ct) (Lazy.force gt)) in
   let t_assemble = Util.Metrics.start_span () in
   (* Per-solver setup: initial stochastic DC state [a], the implicit step
      [step_of] (solving [Mt a = rhs] in place of [a]), the Ct and Gt
@@ -348,32 +367,55 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
   let a, step_of, mul_ct_into, mul_gt_into, nnz_aug =
     match options.solver with
     | Direct ->
-        let gt = assemble_g m in
-        let ct = assemble_c m in
-        let mt = Linalg.Sparse.axpy ~alpha:ct_scale ct gt in
-        assemble_seconds := Util.Metrics.stop_span metrics "galerkin.assemble_s" t_assemble;
-        let t0 = Util.Metrics.start_span () in
-        let perm = block_ordering ~kind:options.ordering m in
-        let fdc = Linalg.Sparse_cholesky.factor ~perm gt in
-        let f = Linalg.Sparse_cholesky.factor ~perm mt in
-        factor_seconds := Util.Metrics.stop_span metrics "galerkin.factor_s" t0;
-        nnz_factor := Linalg.Sparse_cholesky.nnz_l f;
-        rhs_into m ~drain_buf 0.0 rhs;
-        let a = Linalg.Sparse_cholesky.solve fdc rhs in
-        (* Assembled-direct stepping goes through the level-scheduled
-           triangular sweeps when domains allow (bitwise identical to
-           the sequential sweeps either way). *)
-        let step_work = Array.make dim 0.0 in
-        let step_of () =
-          Array.blit rhs 0 a 0 dim;
-          Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:options.domains ~work:step_work a
+        let fdc, f, nnz_aug =
+          match factors with
+          | Some (fdc, f) -> (fdc, f, 0)
+          | None ->
+              let gt = Lazy.force gt and mt = Lazy.force mt in
+              assemble_seconds := Util.Metrics.stop_span metrics "galerkin.assemble_s" t_assemble;
+              let t0 = Util.Metrics.start_span () in
+              let perm = block_ordering ~kind:options.ordering m in
+              let fdc = Linalg.Sparse_cholesky.factor ~perm gt in
+              let f = Linalg.Sparse_cholesky.factor ~perm mt in
+              factor_seconds := Util.Metrics.stop_span metrics "galerkin.factor_s" t0;
+              (fdc, f, Linalg.Sparse.nnz mt)
         in
-        (a, step_of, Linalg.Sparse.mul_vec_into ct, Linalg.Sparse.mul_vec_into gt,
-         Linalg.Sparse.nnz mt)
-    | Mean_pcg { tol; max_iter } ->
-        let gt = assemble_g m in
-        let ct = assemble_c m in
-        let mt = Linalg.Sparse.axpy ~alpha:ct_scale ct gt in
+        nnz_factor := Linalg.Sparse_cholesky.nnz_l f;
+        (* Factors may be shared with concurrent jobs, so every solve uses
+           scratch owned by this call.  The level-scheduled sweeps run
+           when domains allow (bitwise identical to the sequential sweeps
+           either way). *)
+        let work = Array.make dim 0.0 in
+        let a = Array.make dim 0.0 in
+        let solve_rhs f =
+          Array.blit rhs 0 a 0 dim;
+          Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:options.domains ~work a
+        in
+        rhs_into m ~drain_buf 0.0 rhs;
+        solve_rhs fdc;
+        (a, (fun () -> solve_rhs f), Linalg.Sparse.mul_vec_into (Lazy.force ct),
+         (fun x y -> Linalg.Sparse.mul_vec_into (Lazy.force gt) x y), nnz_aug)
+    | Mean_pcg { tol; max_iter } | Matrix_free_pcg { tol; max_iter } ->
+        let mul_gt_into, mul_ct_into, mul_mt_into, nnz_aug =
+          match options.solver with
+          | Matrix_free_pcg _ ->
+              (* The augmented operators are never assembled: Gt, Ct and
+                 the stepping operator Gt + ct_scale Ct all live as
+                 per-rank n x n matrices plus the sparse triple-product
+                 coupling. *)
+              let domains = options.domains in
+              let op_mt = Galerkin_op.gt_plus_ct ~domains ~ct_scale m in
+              ( Galerkin_op.apply_into (Galerkin_op.gt ~domains m),
+                Galerkin_op.apply_into (Galerkin_op.ct ~domains m),
+                Galerkin_op.apply_into op_mt,
+                Galerkin_op.nnz op_mt )
+          | _ ->
+              let mt = Lazy.force mt in
+              ( Linalg.Sparse.mul_vec_into (Lazy.force gt),
+                Linalg.Sparse.mul_vec_into (Lazy.force ct),
+                Linalg.Sparse.mul_vec_into mt,
+                Linalg.Sparse.nnz mt )
+        in
         assemble_seconds := Util.Metrics.stop_span metrics "galerkin.assemble_s" t_assemble;
         let t0 = Util.Metrics.start_span () in
         let node_perm =
@@ -385,101 +427,31 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
         let msdc0 = Linalg.Precond.make ~perm:node_perm options.precond ga in
         factor_seconds := Util.Metrics.stop_span metrics "galerkin.factor_s" t0;
         (* Direct fallbacks on the assembled augmented matrices, built
-           lazily: a healthy run never factors them. *)
-        let direct_step =
-          lazy (Linalg.Sparse_cholesky.factor ~perm:(block_ordering ~kind:options.ordering m) mt)
-        in
-        let direct_dc =
-          lazy (Linalg.Sparse_cholesky.factor ~perm:(block_ordering ~kind:options.ordering m) gt)
-        in
-        let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
-        let precond_dc = mean_block_preconditioner ~domains:options.domains ~metrics m msdc0 in
-        rhs_into m ~drain_buf 0.0 rhs;
-        let a0, report0 =
-          Linalg.Cg.solve_report ~precond:precond_dc ~max_iter ~tol
-            ~matvec:(Linalg.Sparse.mul_vec gt) ~b:rhs ~x0:(Array.make dim 0.0) ()
-        in
-        let a =
-          apply_policy ~policy ~metrics ~agg ~context:(step_context "mean-pcg")
-            ~fallback:(fun () -> Linalg.Sparse_cholesky.solve (Lazy.force direct_dc) rhs)
-            a0 report0
-        in
-        let a = Array.copy a in
-        let ws, guess, prepare_guess, accept =
-          warm_stepper ~warm_start:options.warm_start ~dim a
-        in
-        let mv = Array.make dim 0.0 in
-        let matvec_mt x =
-          Linalg.Sparse.mul_vec_into mt x mv;
-          mv
-        in
-        let step_of () =
-          prepare_guess ();
-          let report =
-            Linalg.Cg.solve_report_in_place ~precond ~max_iter ~tol ~ws ~matvec:matvec_mt
-              ~b:rhs ~x:guess ()
-          in
-          let x =
-            apply_policy ~policy ~metrics ~agg ~context:(step_context "mean-pcg")
-              ~fallback:(fun () -> Linalg.Sparse_cholesky.solve (Lazy.force direct_step) rhs)
-              guess report
-          in
-          accept x
-        in
-        (a, step_of, Linalg.Sparse.mul_vec_into ct, Linalg.Sparse.mul_vec_into gt,
-         Linalg.Sparse.nnz mt)
-    | Matrix_free_pcg { tol; max_iter } ->
-        (* The augmented operators are never assembled: Gt, Ct and the
-           stepping operator Gt + ct_scale Ct all live as per-rank n x n
-           matrices plus the sparse triple-product coupling. *)
-        let domains = options.domains in
-        let op_gt = Galerkin_op.gt ~domains m in
-        let op_ct = Galerkin_op.ct ~domains m in
-        let op_mt = Galerkin_op.gt_plus_ct ~domains ~ct_scale m in
-        assemble_seconds := Util.Metrics.stop_span metrics "galerkin.assemble_s" t_assemble;
-        let t0 = Util.Metrics.start_span () in
-        let node_perm =
-          Linalg.Ordering.compute options.ordering (Stochastic_model.node_pattern m)
-        in
-        let ga = nominal_matrix m m.g_terms in
-        let nominal = Linalg.Sparse.axpy ~alpha:ct_scale (nominal_matrix m m.c_terms) ga in
-        let ms0 = Linalg.Precond.make ~perm:node_perm options.precond nominal in
-        let msdc0 = Linalg.Precond.make ~perm:node_perm options.precond ga in
-        factor_seconds := Util.Metrics.stop_span metrics "galerkin.factor_s" t0;
-        (* The matrix-free route owns no assembled operator, so its
-           fallback assembles one on first use — trading the memory wall
-           back for a guaranteed residual when the policy demands it. *)
-        let direct_step =
-          lazy
-            (let gta = assemble_g m in
-             let cta = assemble_c m in
-             let mta = Linalg.Sparse.axpy ~alpha:ct_scale cta gta in
-             Linalg.Sparse_cholesky.factor ~perm:(block_ordering ~kind:options.ordering m) mta)
-        in
-        let direct_dc =
+           lazily: a healthy run never factors them, and the matrix-free
+           route trades its memory wall back for a guaranteed residual
+           only when the policy demands it. *)
+        let block_factor mat =
           lazy
             (Linalg.Sparse_cholesky.factor
                ~perm:(block_ordering ~kind:options.ordering m)
-               (assemble_g m))
+               (Lazy.force mat))
         in
-        let precond = mean_block_preconditioner ~domains ~metrics m ms0 in
-        let precond_dc = mean_block_preconditioner ~domains ~metrics m msdc0 in
+        let direct_step = block_factor mt and direct_dc = block_factor gt in
+        let precond = mean_block_preconditioner ~domains:options.domains ~metrics m ms0 in
+        let precond_dc = mean_block_preconditioner ~domains:options.domains ~metrics m msdc0 in
+        let name = pcg_name options.solver in
         rhs_into m ~drain_buf 0.0 rhs;
         let mv = Array.make dim 0.0 in
-        let matvec_gt x =
-          Galerkin_op.apply_into op_gt x mv;
-          mv
-        in
-        let matvec_mt x =
-          Galerkin_op.apply_into op_mt x mv;
+        let matvec mul x =
+          mul x mv;
           mv
         in
         let a0, report0 =
-          Linalg.Cg.solve_report ~precond:precond_dc ~max_iter ~tol ~matvec:matvec_gt ~b:rhs
-            ~x0:(Array.make dim 0.0) ()
+          Linalg.Cg.solve_report ~precond:precond_dc ~max_iter ~tol ~matvec:(matvec mul_gt_into)
+            ~b:rhs ~x0:(Array.make dim 0.0) ()
         in
         let a =
-          apply_policy ~policy ~metrics ~agg ~context:(step_context "matrix-free-pcg")
+          apply_policy ~policy ~metrics ~agg ~context:(step_context name)
             ~fallback:(fun () -> Linalg.Sparse_cholesky.solve (Lazy.force direct_dc) rhs)
             a0 report0
         in
@@ -487,6 +459,7 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
         let ws, guess, prepare_guess, accept =
           warm_stepper ~warm_start:options.warm_start ~dim a
         in
+        let matvec_mt = matvec mul_mt_into in
         let step_of () =
           prepare_guess ();
           let report =
@@ -494,14 +467,13 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
               ~b:rhs ~x:guess ()
           in
           let x =
-            apply_policy ~policy ~metrics ~agg ~context:(step_context "matrix-free-pcg")
+            apply_policy ~policy ~metrics ~agg ~context:(step_context name)
               ~fallback:(fun () -> Linalg.Sparse_cholesky.solve (Lazy.force direct_step) rhs)
               guess report
           in
           accept x
         in
-        (a, step_of, Galerkin_op.apply_into op_ct, Galerkin_op.apply_into op_gt,
-         Galerkin_op.nnz op_mt)
+        (a, step_of, mul_ct_into, mul_gt_into, nnz_aug)
     | St _ ->
         (* solve_transient dispatches St before reaching the coupled body. *)
         assert false
@@ -556,8 +528,17 @@ let solve_transient_coupled ~options (m : Stochastic_model.t) ~h ~steps =
       health = agg;
     } )
 
-let solve_transient ?(options = default_options) (m : Stochastic_model.t) ~h ~steps =
+let solve_transient ?(options = default_options) ?factors ?ct (m : Stochastic_model.t) ~h ~steps
+    =
   if h <= 0.0 then invalid_arg "Galerkin.solve_transient: step must be positive";
+  Option.iter
+    (fun (fdc, fstep) ->
+      (* The step factor is Gt + Ct/h, which only backward Euler steps with. *)
+      if options.scheme <> Powergrid.Transient.Backward_euler then
+        invalid_arg "Galerkin.solve_transient: supplied factors are backward-Euler factors";
+      check_factor_dim ~what:"solve_transient" m fdc;
+      check_factor_dim ~what:"solve_transient" m fstep)
+    factors;
   match options.solver with
   | St { tol; max_refine; candidates; seed } ->
       (* Decoupled testing-point stepping; per-point factors carry
@@ -569,4 +550,5 @@ let solve_transient ?(options = default_options) (m : Stochastic_model.t) ~h ~st
       let st_opts = st_options options ~tol ~max_refine ~candidates ~seed in
       let response, st = St_solver.solve_transient ~options:st_opts m ~h ~steps in
       (response, st_stats m st)
-  | Direct | Mean_pcg _ | Matrix_free_pcg _ -> solve_transient_coupled ~options m ~h ~steps
+  | Direct | Mean_pcg _ | Matrix_free_pcg _ ->
+      solve_transient_coupled ~options ?factors ?ct m ~h ~steps

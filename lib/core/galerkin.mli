@@ -109,12 +109,13 @@ type stats = {
           [Gt + Ct/h] for [Direct]/[Mean_pcg], the matrix-free block
           data ([sum_r nnz_r] + coupling entries) for
           [Matrix_free_pcg], the per-point realizations summed for
-          [St] — the peak-memory figure of each route *)
+          [St] — the peak-memory figure of each route; [0] when
+          [Direct] receives its factors and assembles nothing *)
   nnz_factor : int;
-      (** nonzeros of its Cholesky factor ([Direct]; summed over the
-          per-point factors for [St]) *)
+      (** nonzeros of its Cholesky factor ([Direct], supplied or built;
+          summed over the per-point factors for [St]) *)
   assemble_seconds : float;
-  factor_seconds : float;
+  factor_seconds : float;  (** [0] when [Direct] receives its factors *)
   step_seconds : float;
   pcg_iterations : int;
       (** total over all steps (iterative solvers only; mirrors
@@ -148,26 +149,58 @@ val block_ordering : ?kind:Linalg.Ordering.kind -> Stochastic_model.t -> Linalg.
     grid pattern. *)
 
 val solve_dc :
-  ?options:options -> ?mean:Linalg.Precond.t -> ?gt:Linalg.Sparse.t -> Stochastic_model.t ->
+  ?options:options ->
+  ?factor:Linalg.Sparse_cholesky.t ->
+  ?mean:Linalg.Precond.t ->
+  ?gt:Linalg.Sparse.t ->
+  Stochastic_model.t ->
   Linalg.Vec.t
 (** Stochastic DC solution (augmented coefficients at t = 0).
 
-    [mean] and [gt] hand in artifacts a caller already holds, so a
-    batch of DC jobs on one operator builds them once: [mean] is the
-    mean-block preconditioner of the iterative routes (default:
-    [Precond.make ~ordering:options.ordering options.precond] on the
-    nominal G, built here), [gt] the assembled augmented [Gt] (default:
-    {!assemble_g}, built here when a route needs it — [Direct],
-    [Mean_pcg], and a matrix-free fallback).  Both are only read, and
+    [factor], [mean] and [gt] hand in artifacts a caller already holds,
+    so a batch of DC jobs on one operator builds them once: [factor] is
+    the [Direct] route's Cholesky factor of the augmented [Gt] (default:
+    factored here on {!block_ordering}, observed as
+    [galerkin.factor_s]); [mean] is the mean-block preconditioner of the
+    iterative routes (default: [Precond.make ~ordering:options.ordering
+    options.precond] on the nominal G, built here), [gt] the assembled
+    augmented [Gt] (default: {!assemble_g}, built here when a route needs
+    it — [Direct] without [factor], [Mean_pcg], and a matrix-free
+    fallback).  All three are only read — a supplied factor through
+    scratch owned by this call, so concurrent callers may share it — and
     supplying artifacts built the default way leaves the coefficients
-    bitwise unchanged.  [St] ignores both. *)
+    bitwise unchanged.  The [Direct] solve is observed as
+    [galerkin.step_s].  [St] ignores all three.
+
+    Raises [Invalid_argument] if [factor]'s dimension is not
+    [(N+1) * n]. *)
 
 val solve_transient :
-  ?options:options -> Stochastic_model.t -> h:float -> steps:int -> Response.t * stats
+  ?options:options ->
+  ?factors:Linalg.Sparse_cholesky.t * Linalg.Sparse_cholesky.t ->
+  ?ct:Linalg.Sparse.t ->
+  Stochastic_model.t ->
+  h:float ->
+  steps:int ->
+  Response.t * stats
 (** Backward-Euler transient of the augmented system starting from the
     stochastic DC state; one factorization, [steps] solves.  Under the
     [St] solver the same response comes from [N+1] decoupled per-point
     transients (one small factorization per point, reused across every
     step) with the coefficients recovered each step — [stats] then maps
     the ST ledger: [pcg_iterations] counts DC refinement sweeps and
-    [factor_seconds]/[nnz_factor] cover the per-point factors. *)
+    [factor_seconds]/[nnz_factor] cover the per-point factors.
+
+    [factors = (fdc, fstep)] hands the [Direct] route the Cholesky
+    factors of [Gt] and of the step matrix [Gt + Ct/h], and [ct] the
+    assembled augmented [Ct] that builds every step's right-hand side
+    (default: {!assemble_c}, assembled here when a route needs it).  With
+    both supplied the route assembles and factors nothing: no
+    [galerkin.assemble_s] or [galerkin.factor_s] is observed, [stats]
+    reports [assemble_seconds = factor_seconds = 0], [nnz_aug = 0] (the
+    step matrix was never assembled here) and [nnz_factor] of [fstep].
+    The factors are only read, through scratch owned by this call, so
+    concurrent callers may share them; the iterative routes and [St]
+    ignore them.  Raises [Invalid_argument] if [factors] is supplied
+    under a scheme other than backward Euler or either factor's
+    dimension is not [(N+1) * n]. *)

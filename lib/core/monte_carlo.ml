@@ -75,6 +75,7 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
   let u = Array.make n 0.0 in
   let x = Array.make n 0.0 in
   let cx = Array.make n 0.0 in
+  let work = Array.make n 0.0 in
   for s = 0 to samples - 1 do
     (* Draw from the basis' own orthogonality measure so Gaussian/Hermite
        and Uniform/Legendre models are both sampled consistently. *)
@@ -114,7 +115,7 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
     let fdc = Linalg.Sparse_cholesky.factor ~perm g in
     inject 0.0 u;
     Array.blit u 0 x 0 n;
-    Linalg.Sparse_cholesky.solve_in_place fdc x;
+    Linalg.Sparse_cholesky.solve_in_place_ws fdc ~work x;
     accumulate 0 x;
     let fbe =
       Linalg.Sparse_cholesky.factor ~perm (Linalg.Sparse.axpy ~alpha:(1.0 /. cfg.h) c g)
@@ -125,7 +126,7 @@ let run_chunk (m : Stochastic_model.t) (cfg : config) ~perm ~rng ~halton_offset 
       for i = 0 to n - 1 do
         x.(i) <- u.(i) +. (cx.(i) /. cfg.h)
       done;
-      Linalg.Sparse_cholesky.solve_in_place fbe x;
+      Linalg.Sparse_cholesky.solve_in_place_ws fbe ~work x;
       accumulate k x
     done;
     progress (s + 1)

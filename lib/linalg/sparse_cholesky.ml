@@ -85,7 +85,6 @@ type t = {
   lp : int array; (* column pointers of L *)
   li : int array; (* row indices, diagonal entry first per column *)
   lx : float array;
-  work : float array; (* scratch for solve_in_place *)
   levels : levels;
 }
 
@@ -372,7 +371,7 @@ let factor ?(ordering = Ordering.Min_degree) ?perm a =
     li.(pos) <- k;
     lx.(pos) <- sqrt !d
   done;
-  { n; p; lp; li; lx; work = Array.make n 0.0; levels = build_levels ~n ~lp ~li ~lx }
+  { n; p; lp; li; lx; levels = build_levels ~n ~lp ~li ~lx }
 
 let lower_solve f y =
   (* L y' = y, in place; diagonal entry is first in each column. *)
@@ -590,11 +589,12 @@ let[@opera.hot] solve_in_place_ws f ?(domains = 1) ~work b =
     done
   end
 
-let solve_in_place f b = solve_in_place_ws f ~work:f.work b
-
+(* The scratch is allocated per call, never held in [t]: a factor is
+   immutable after [factor]/[decode], so any number of domains may solve
+   with it at once. *)
 let solve f b =
   let x = Array.copy b in
-  solve_in_place f x;
+  solve_in_place_ws f ~work:(Array.make f.n 0.0) x;
   x
 
 (* ---- artifact serialization ----------------------------------------
@@ -642,7 +642,7 @@ let decode (d : Util.Codec.decoder) =
   done;
   (* The level schedule is derived data: rebuilt here, never serialized,
      so the artifact format (chol_version = 1) is unchanged. *)
-  { n; p; lp; li; lx; work = Array.make n 0.0; levels = build_levels ~n ~lp ~li ~lx }
+  { n; p; lp; li; lx; levels = build_levels ~n ~lp ~li ~lx }
 
 let nnz_l f = f.lp.(f.n)
 

@@ -20,19 +20,17 @@ val factor : ?ordering:Ordering.kind -> ?perm:Perm.t -> Sparse.t -> t
     [Invalid_argument] if [a] is not square. *)
 
 val solve : t -> Vec.t -> Vec.t
-(** [solve f b] solves [A x = b]. *)
-
-val solve_in_place : t -> Vec.t -> unit
-(** [solve_in_place f b] overwrites [b] with the solution, reusing an
-    internal workspace — the allocation-free path for transient stepping.
-    NOT safe for concurrent use of one factor from several domains (the
-    workspace is shared); use {!solve_in_place_ws} there. *)
+(** [solve f b] solves [A x = b] into a fresh vector.  It allocates its
+    own scratch, so one factor may serve any number of concurrent
+    callers: a factor never changes after {!factor} or {!decode}. *)
 
 val solve_in_place_ws : t -> ?domains:int -> work:Vec.t -> Vec.t -> unit
-(** [solve_in_place_ws f ~work b] is {!solve_in_place} with a
-    caller-provided workspace of length {!dim}.  One factor may serve many
-    domains concurrently as long as every domain passes its own [work]
-    buffer — the factor itself is only read.
+(** [solve_in_place_ws f ~work b] overwrites [b] with the solution of
+    [A x = b], using the caller's workspace [work] of length {!dim} — the
+    allocation-free path for stepping loops, which allocate [work] once
+    outside the loop.  One factor may serve many domains concurrently as
+    long as every domain passes its own [work] buffer — the factor
+    itself is only read.
 
     [domains] (default [1] = sequential) selects the level-scheduled
     triangular sweeps when it resolves to more than one domain: rows of

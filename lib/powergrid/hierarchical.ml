@@ -95,13 +95,14 @@ let build a ~part =
            let factor = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Min_degree a_ii in
            (* Schur update: S -= A_bi A_ii^-1 A_ib, column by nonzero column. *)
            let { Linalg.Sparse.colptr = bp; rowind = bi; values = bv; _ } = a_ib in
+           let work = Array.make nb 0.0 in
            for c = 0 to nports - 1 do
              if bp.(c + 1) > bp.(c) then begin
                let w = Array.make nb 0.0 in
                for k = bp.(c) to bp.(c + 1) - 1 do
                  w.(bi.(k)) <- bv.(k)
                done;
-               Linalg.Sparse_cholesky.solve_in_place factor w;
+               Linalg.Sparse_cholesky.solve_in_place_ws factor ~work w;
                (* row r of the update: (A_ib[:, r]) . w *)
                for r = 0 to nports - 1 do
                  if bp.(r + 1) > bp.(r) then begin
@@ -136,8 +137,7 @@ let solve t b =
   let ys =
     Array.map
       (fun blk ->
-        let bi = Array.map (fun g -> b.(g)) blk.nodes in
-        Linalg.Sparse_cholesky.solve_in_place blk.factor bi;
+        let bi = Linalg.Sparse_cholesky.solve blk.factor (Array.map (fun g -> b.(g)) blk.nodes) in
         (* rhs_p -= A_ib^T y *)
         let contrib = Linalg.Sparse.mul_vec_t blk.a_ib bi in
         for p = 0 to t.nports - 1 do
@@ -159,7 +159,7 @@ let solve t b =
       for k = 0 to Array.length rhs - 1 do
         rhs.(k) <- rhs.(k) -. coupling.(k)
       done;
-      Linalg.Sparse_cholesky.solve_in_place blk.factor rhs;
-      Array.iteri (fun k g -> x.(g) <- rhs.(k)) blk.nodes)
+      let xb = Linalg.Sparse_cholesky.solve blk.factor rhs in
+      Array.iteri (fun k g -> x.(g) <- xb.(k)) blk.nodes)
     t.blocks;
   x

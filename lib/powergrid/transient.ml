@@ -13,6 +13,7 @@ let run cfg ~g ~c ~inject ~x0 ~on_step =
   let x = Array.copy x0 in
   let u = Linalg.Vec.create n in
   let rhs = Linalg.Vec.create n in
+  let work = Linalg.Vec.create n in
   let metrics = Util.Metrics.global in
   (match cfg.scheme with
   | Backward_euler ->
@@ -28,7 +29,7 @@ let run cfg ~g ~c ~inject ~x0 ~on_step =
         inject t u;
         Array.blit u 0 rhs 0 n;
         Linalg.Sparse.mul_vec_acc ~alpha:(1.0 /. cfg.h) c x rhs;
-        Linalg.Sparse_cholesky.solve_in_place f rhs;
+        Linalg.Sparse_cholesky.solve_in_place_ws f ~work rhs;
         Array.blit rhs 0 x 0 n;
         ignore (Util.Metrics.stop_span metrics "transient.step_s" span);
         on_step k t x
@@ -52,7 +53,7 @@ let run cfg ~g ~c ~inject ~x0 ~on_step =
         done;
         Linalg.Sparse.mul_vec_acc ~alpha:(2.0 /. cfg.h) c x rhs;
         Linalg.Sparse.mul_vec_acc ~alpha:(-1.0) g x rhs;
-        Linalg.Sparse_cholesky.solve_in_place f rhs;
+        Linalg.Sparse_cholesky.solve_in_place_ws f ~work rhs;
         Array.blit rhs 0 x 0 n;
         Array.blit u 0 u_prev 0 n;
         ignore (Util.Metrics.stop_span metrics "transient.step_s" span);

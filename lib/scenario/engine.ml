@@ -502,62 +502,6 @@ let yield_fields response ~vdd ~steps ~budget_pct =
     ("worst_fail_node", num (float_of_int !worst_node));
   ]
 
-(* Backward-Euler stepping against the group's shared factors — the
-   allocation pattern of Galerkin.solve_transient's Direct route with
-   the factorizations replaced by workspace-explicit applications of the
-   shared, read-only factors. *)
-let direct_transient (ctx : galerkin_ctx) (job : Job.t) ~probe ~inner reg =
-  let model = scaled_model ctx.model job in
-  let n = model.Opera.Stochastic_model.n in
-  let basis = model.Opera.Stochastic_model.basis in
-  let size = Polychaos.Basis.size basis in
-  let dim = size * n in
-  let fdc = Option.get ctx.fdc in
-  let f = List.assoc job.h ctx.fmt in
-  let ct = Option.get ctx.ct in
-  let response =
-    Opera.Response.create ~basis ~n ~steps:job.steps ~h:job.h ~vdd:ctx.gvdd
-      ~probes:[| probe |]
-  in
-  let drain_buf = Array.make n 0.0 in
-  let u = Array.make dim 0.0 in
-  let rhs = Array.make dim 0.0 in
-  let ct_a = Array.make dim 0.0 in
-  let work = Array.make dim 0.0 in
-  let a = Array.make dim 0.0 in
-  Opera.Galerkin.rhs_into model ~drain_buf 0.0 a;
-  Linalg.Sparse_cholesky.solve_in_place_ws fdc ~domains:inner ~work a;
-  Opera.Response.record_step response ~step:0 ~coefs:a;
-  for k = 1 to job.steps do
-    let t = float_of_int k *. job.h in
-    Opera.Galerkin.rhs_into model ~drain_buf t u;
-    Linalg.Sparse.mul_vec_into ct a ct_a;
-    for i = 0 to dim - 1 do
-      rhs.(i) <- u.(i) +. (ct_a.(i) /. job.h)
-    done;
-    Util.Metrics.span reg "engine.step_s" (fun () ->
-        Array.blit rhs 0 a 0 dim;
-        (* Level-scheduled sweeps when the job owns spare domains;
-           bitwise identical to the sequential path. *)
-        Linalg.Sparse_cholesky.solve_in_place_ws f ~domains:inner ~work a);
-    Opera.Response.record_step response ~step:k ~coefs:a
-  done;
-  response
-
-let direct_dc (ctx : galerkin_ctx) (job : Job.t) ~inner reg =
-  let model = scaled_model ctx.model job in
-  let n = model.Opera.Stochastic_model.n in
-  let size = Polychaos.Basis.size model.Opera.Stochastic_model.basis in
-  let dim = size * n in
-  let fdc = Option.get ctx.fdc in
-  let drain_buf = Array.make n 0.0 in
-  let coefs = Array.make dim 0.0 in
-  let work = Array.make dim 0.0 in
-  Opera.Galerkin.rhs_into model ~drain_buf 0.0 coefs;
-  Util.Metrics.span reg "engine.step_s" (fun () ->
-      Linalg.Sparse_cholesky.solve_in_place_ws fdc ~domains:inner ~work coefs);
-  coefs
-
 let galerkin_options (job : Job.t) reg ~probe ~inner ~warm_start ~precond =
   {
     Opera.Galerkin.default_options with
@@ -570,30 +514,23 @@ let galerkin_options (job : Job.t) reg ~probe ~inner ~warm_start ~precond =
     precond;
   }
 
+(* Every Galerkin-group job is one library call: the group's shared
+   artifacts (Direct factors and Ct, iterative DC mean block and Gt) go
+   in as optional arguments, read-only. *)
 let run_galerkin_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start ~precond =
   let n = ctx.model.Opera.Stochastic_model.n in
   let probe = resolve_probe job ctx.gspec n in
   let vdd = ctx.gvdd in
-  match (job.analysis, ctx.fdc) with
-  | Job.Dc, Some _ ->
-      let coefs = direct_dc ctx job ~inner reg in
-      (dc_record job ~vdd ~model:ctx.model ~probe coefs, None)
-  | Job.Dc, None ->
-      let model = scaled_model ctx.model job in
-      let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
-      let coefs = Opera.Galerkin.solve_dc ~options ?mean:ctx.mean ?gt:ctx.gt model in
+  let model = scaled_model ctx.model job in
+  let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
+  match job.analysis with
+  | Job.Dc ->
+      let coefs = Opera.Galerkin.solve_dc ~options ?factor:ctx.fdc ?mean:ctx.mean ?gt:ctx.gt model in
       (dc_record job ~vdd ~model ~probe coefs, None)
-  | (Job.Transient | Job.Yield _), _ ->
-      let response =
-        match ctx.fdc with
-        | Some _ -> direct_transient ctx job ~probe ~inner reg
-        | None ->
-            let model = scaled_model ctx.model job in
-            let options = galerkin_options job reg ~probe ~inner ~warm_start ~precond in
-            let response, _stats =
-              Opera.Galerkin.solve_transient ~options model ~h:job.h ~steps:job.steps
-            in
-            response
+  | Job.Transient | Job.Yield _ ->
+      let factors = Option.map (fun fdc -> (fdc, List.assoc job.h ctx.fmt)) ctx.fdc in
+      let response, _stats =
+        Opera.Galerkin.solve_transient ~options ?factors ?ct:ctx.ct model ~h:job.h ~steps:job.steps
       in
       let fields = transient_fields response ~vdd ~probe ~steps:job.steps ~n in
       let fields =
@@ -603,7 +540,7 @@ let run_galerkin_job (ctx : galerkin_ctx) (job : Job.t) reg ~inner ~warm_start ~
         | _ -> fields
       in
       (base_fields job ~probe fields, Some response)
-  | Job.Special _, _ -> invalid_arg "Engine.run_galerkin_job: special job in a Galerkin group"
+  | Job.Special _ -> invalid_arg "Engine.run_galerkin_job: special job in a Galerkin group"
 
 let run_special_job (ctx : special_ctx) (job : Job.t) reg ~inner =
   let lambda =

@@ -129,15 +129,22 @@ let test_matrix_free_trapezoidal () =
     fst (Opera.Galerkin.solve_transient ~options m ~h:0.25e-9 ~steps)
   in
   let r1 = solve Opera.Galerkin.Direct in
-  let r2 = solve (Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 1000 }) in
   let n = m.Opera.Stochastic_model.n in
-  for step = 0 to steps do
-    for node = 0 to n - 1 do
-      Helpers.check_float ~eps:1e-6 "trapezoidal means agree"
-        (Opera.Response.mean_at r1 ~step ~node)
-        (Opera.Response.mean_at r2 ~step ~node)
-    done
-  done
+  (* Both coupled PCG routes: the assembled SpMV and the matrix-free apply. *)
+  List.iter
+    (fun solver ->
+      let r2 = solve solver in
+      for step = 0 to steps do
+        for node = 0 to n - 1 do
+          Helpers.check_float ~eps:1e-6 "trapezoidal means agree"
+            (Opera.Response.mean_at r1 ~step ~node)
+            (Opera.Response.mean_at r2 ~step ~node)
+        done
+      done)
+    [
+      Opera.Galerkin.Mean_pcg { tol = 1e-12; max_iter = 1000 };
+      Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 1000 };
+    ]
 
 (* --- domain determinism ------------------------------------------------ *)
 
@@ -222,11 +229,28 @@ let test_amg_precond_bitwise_across_domains () =
 
 (* --- caller-supplied mean block and Gt ----------------------------------- *)
 
-(* A batch group hands every DC job one prebuilt mean-block
-   preconditioner (and, on the assembled route, one Gt).  Artifacts
-   built the default way must leave the coefficients bitwise unchanged,
-   and the solver must really use them: no mean-block setup of its own,
-   no Gt assembly on the pcg route. *)
+let check_bitwise what reference supplied =
+  Alcotest.(check int) (what ^ ": same length") (Array.length reference) (Array.length supplied);
+  Array.iteri
+    (fun i v ->
+      if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float supplied.(i))) then
+        Alcotest.failf "%s: entry %d differs: %.17g vs %.17g" what i v supplied.(i))
+    reference
+
+(* Every node's mean and variance at every step, flattened. *)
+let response_moments r ~n ~steps =
+  Array.concat
+    (List.init (steps + 1) (fun step ->
+         Array.init (2 * n) (fun i ->
+             if i < n then Opera.Response.mean_at r ~step ~node:i
+             else Opera.Response.variance_at r ~step ~node:(i - n))))
+
+(* A batch group hands its jobs prebuilt artifacts: the iterative DC
+   jobs one mean-block preconditioner (and, on the assembled route, one
+   Gt), the Direct jobs the factors of Gt and Gt + Ct/h plus the
+   assembled Ct.  Artifacts built the default way must leave the results
+   bitwise unchanged, and the solver must really use them: no setup or
+   assembly of its own. *)
 let test_supplied_mean_and_gt_bitwise () =
   let m = small_model () in
   List.iter
@@ -247,18 +271,64 @@ let test_supplied_mean_and_gt_bitwise () =
           Alcotest.(check int) (what ^ ": no mean-block setup") 0
             (Util.Metrics.observations metrics "galerkin.factor_s");
           Alcotest.(check int) (what ^ ": no Gt assembly") krons (Linalg.Sparse.kron_count ());
-          Alcotest.(check int) (what ^ ": same length") (Array.length reference)
-            (Array.length supplied);
-          Array.iteri
-            (fun i v ->
-              if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float supplied.(i))) then
-                Alcotest.failf "%s: coefficient %d differs: %.17g vs %.17g" what i v supplied.(i))
-            reference)
+          check_bitwise what reference supplied)
         [ Linalg.Precond.Cholesky; Linalg.Precond.Ic0; Linalg.Precond.Amg ])
     [
       ("pcg", Opera.Galerkin.Mean_pcg { tol = 1e-12; max_iter = 2000 });
       ("matrix-free", Opera.Galerkin.Matrix_free_pcg { tol = 1e-12; max_iter = 2000 });
-    ]
+    ];
+  (* Direct: the factors the default path would build, on the default
+     block ordering, with h = 0.25 ns. *)
+  let h = 0.25e-9 and steps = 5 in
+  let n = m.Opera.Stochastic_model.n in
+  let options ?(scheme = Powergrid.Transient.Backward_euler) metrics =
+    { (solver_options ~domains:2 Opera.Galerkin.Direct) with Opera.Galerkin.metrics; scheme }
+  in
+  let gt = Opera.Galerkin.assemble_g m and ct = Opera.Galerkin.assemble_c m in
+  let perm = Opera.Galerkin.block_ordering m in
+  let fdc = Linalg.Sparse_cholesky.factor ~perm gt in
+  let fstep = Linalg.Sparse_cholesky.factor ~perm (Linalg.Sparse.axpy ~alpha:(1.0 /. h) ct gt) in
+  let nothing_built what metrics krons =
+    List.iter
+      (fun name ->
+        Alcotest.(check int) (Printf.sprintf "direct %s: no %s" what name) 0
+          (Util.Metrics.observations metrics name))
+      [ "galerkin.factor_s"; "galerkin.assemble_s" ];
+    Alcotest.(check int) ("direct " ^ what ^ ": no assembly") krons (Linalg.Sparse.kron_count ())
+  in
+  let reference = Opera.Galerkin.solve_dc ~options:(options (Util.Metrics.create ())) m in
+  let metrics = Util.Metrics.create () in
+  let krons = Linalg.Sparse.kron_count () in
+  let supplied = Opera.Galerkin.solve_dc ~options:(options metrics) ~factor:fdc m in
+  nothing_built "dc" metrics krons;
+  check_bitwise "direct dc" reference supplied;
+  let transient ?factors ?ct metrics =
+    let r, _ = Opera.Galerkin.solve_transient ~options:(options metrics) ?factors ?ct m ~h ~steps in
+    response_moments r ~n ~steps
+  in
+  let reference = transient (Util.Metrics.create ()) in
+  let metrics = Util.Metrics.create () in
+  let krons = Linalg.Sparse.kron_count () in
+  let supplied = transient ~factors:(fdc, fstep) ~ct metrics in
+  nothing_built "transient" metrics krons;
+  check_bitwise "direct transient" reference supplied;
+  (* The step factor is Gt + Ct/h, and a factor must fit the augmented
+     system. *)
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "supplied factors under trapezoidal" (fun () ->
+      Opera.Galerkin.solve_transient
+        ~options:(options ~scheme:Powergrid.Transient.Trapezoidal (Util.Metrics.create ()))
+        ~factors:(fdc, fstep) ~ct m ~h ~steps);
+  let nominal = Linalg.Sparse_cholesky.factor (Opera.St_solver.mean_g m) in
+  raises "n-dimensional dc factor" (fun () ->
+      Opera.Galerkin.solve_dc ~options:(options (Util.Metrics.create ())) ~factor:nominal m);
+  raises "n-dimensional step factor" (fun () ->
+      Opera.Galerkin.solve_transient ~options:(options (Util.Metrics.create ()))
+        ~factors:(fdc, nominal) ~ct m ~h ~steps)
 
 (* --- never assembles the Kronecker product ----------------------------- *)
 

@@ -716,6 +716,71 @@ let test_result_signature_covers_record_knobs () =
   Alcotest.(check bool) "pcg tolerance changes the result signature" true
     (Job.result_signature (pcg 1e-10) <> Job.result_signature (pcg 1e-6))
 
+(* --- pinned records ------------------------------------------------- *)
+
+(* One job per solve route the engine drives: direct, pcg, matrix-free
+   and st groups with dc, transient and yield members, a special-case
+   job, and starved iterative jobs whose [Fallback] policy takes the
+   assembled direct repair.  The JSONL under [golden/] was produced by
+   an earlier revision of the engine; any refactor of a solve path must
+   reproduce it byte for byte. *)
+let golden_batch () =
+  let job name analysis solver =
+    { (base_job name) with Job.source = Job.Generated { nodes = 300 }; analysis; solver; steps = 6 }
+  in
+  let pcg = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } in
+  let mf = Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 500 } in
+  let st = Opera.Galerkin.default_st in
+  let direct = Opera.Galerkin.Direct in
+  [|
+    job "d-dc" Job.Dc direct;
+    { (job "d-dc-drain" Job.Dc direct) with Job.drain_scale = 1.5 };
+    job "d-tr" Job.Transient direct;
+    { (job "d-yield" (Job.Yield { budget_pct = 2.0 }) direct) with Job.h = 250e-12 };
+    job "p-dc" Job.Dc pcg;
+    { (job "p-tr" Job.Transient pcg) with Job.drain_scale = 0.75 };
+    job "mf-dc" Job.Dc mf;
+    job "mf-yield" (Job.Yield { budget_pct = 2.0 }) mf;
+    job "st-dc" Job.Dc st;
+    job "st-tr" Job.Transient st;
+    job "sp" (Job.Special { regions = 4; lambda = 0.5 }) direct;
+    {
+      (job "fb-tr" Job.Transient (Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 1 })) with
+      Job.policy = Opera.Galerkin.Fallback;
+    };
+    {
+      (job "fb-mf-dc" Job.Dc (Opera.Galerkin.Matrix_free_pcg { tol = 1e-10; max_iter = 1 })) with
+      Job.policy = Opera.Galerkin.Fallback;
+    };
+  |]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let golden_jsonl ~jobs_parallel =
+  let config =
+    {
+      Engine.default_config with
+      Engine.jobs_parallel;
+      domains = 2;
+      metrics = Util.Metrics.create ();
+    }
+  in
+  let results, _ = Engine.run ~config (golden_batch ()) in
+  String.concat "" (List.map (fun r -> r ^ "\n") (records_of results))
+
+let test_golden_records () =
+  let golden = read_file "golden/mixed_batch.jsonl" in
+  List.iter
+    (fun jobs_parallel ->
+      Alcotest.(check string)
+        (Printf.sprintf "mixed batch at jobs_parallel %d = pinned JSONL" jobs_parallel)
+        golden (golden_jsonl ~jobs_parallel))
+    [ 1; 3 ]
+
 let suite =
   [
     Alcotest.test_case "plan groups by operator signature" `Quick test_plan_groups;
@@ -752,6 +817,7 @@ let suite =
       test_streaming_prefix_survives_abort;
     Alcotest.test_case "registry gc drops only departed journal entries" `Quick
       test_registry_gc;
+    Alcotest.test_case "mixed batch reproduces the pinned JSONL" `Quick test_golden_records;
     Alcotest.test_case "result signature covers record-shaping knobs" `Quick
       test_result_signature_covers_record_knobs;
   ]

@@ -118,9 +118,40 @@ let test_solve_in_place () =
   let f = Linalg.Sparse_cholesky.factor a in
   let b = Helpers.random_vec rng 30 in
   let x = Linalg.Sparse_cholesky.solve f b in
-  let b2 = Array.copy b in
-  Linalg.Sparse_cholesky.solve_in_place f b2;
-  Helpers.check_vec ~eps:0.0 "in-place matches" x b2
+  let work = Array.make 30 0.0 in
+  List.iter
+    (fun domains ->
+      let b2 = Array.copy b in
+      Linalg.Sparse_cholesky.solve_in_place_ws f ~domains ~work b2;
+      Helpers.check_vec ~eps:0.0 (Printf.sprintf "in-place matches (domains %d)" domains) x b2)
+    [ 1; 2 ]
+
+(* A factor holds no scratch, so two domains solving with it at once must
+   each get exactly the sequential answer. *)
+let test_concurrent_solves () =
+  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default 2500 in
+  let g = Powergrid.Mna.g_total (Powergrid.Grid_gen.stream_mna spec) in
+  let n, _ = Linalg.Sparse.dims g in
+  Alcotest.(check bool) "grid has at least 2k nodes" true (n >= 2000);
+  let f = Linalg.Sparse_cholesky.factor ~ordering:Linalg.Ordering.Nested_dissection g in
+  let rng = Helpers.rng () in
+  let rhs = Array.init 8 (fun _ -> Helpers.random_vec rng n) in
+  let expected = Array.map (Linalg.Sparse_cholesky.solve f) rhs in
+  let same x y =
+    Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) x y
+  in
+  let worker offset () =
+    let mismatches = ref 0 in
+    for k = 0 to 119 do
+      let i = (k + offset) mod Array.length rhs in
+      if not (same expected.(i) (Linalg.Sparse_cholesky.solve f rhs.(i))) then incr mismatches
+    done;
+    !mismatches
+  in
+  let other = Domain.spawn (worker 3) in
+  let here = worker 0 () in
+  Alcotest.(check int) "main-domain solves bitwise = sequential" 0 here;
+  Alcotest.(check int) "second-domain solves bitwise = sequential" 0 (Domain.join other)
 
 let test_sparse_lu_random () =
   let rng = Helpers.rng () in
@@ -203,6 +234,7 @@ let suite =
     Alcotest.test_case "cholesky rejects indefinite" `Quick test_sparse_cholesky_rejects_indefinite;
     Alcotest.test_case "cholesky precomputed perm" `Quick test_sparse_cholesky_precomputed_perm;
     Alcotest.test_case "solve in place" `Quick test_solve_in_place;
+    Alcotest.test_case "concurrent solves on one factor" `Quick test_concurrent_solves;
     Alcotest.test_case "sparse lu random" `Quick test_sparse_lu_random;
     Alcotest.test_case "sparse lu matches dense" `Quick test_sparse_lu_matches_dense;
     Alcotest.test_case "sparse lu pivoting" `Quick test_sparse_lu_needs_pivoting;
