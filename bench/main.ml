@@ -12,12 +12,10 @@
      solver-ablation   ablation: direct augmented factor vs mean-block PCG
      galerkin-op       perf: assembled vs matrix-free Galerkin operator
                        (writes BENCH_galerkin.json)
-     linear-solvers    extension: Cholesky vs CG vs IC0 vs AMG vs hierarchical
+     linear-solvers    extension: Cholesky vs CG vs IC0 vs AMG
      random-walk       extension: localized single-node estimates (ref. [6])
      qmc               extension: pseudo vs Halton Monte Carlo convergence
      spatial           extension: intra-die Karhunen-Loeve variation
-     mor               extension: Krylov model order reduction (ref. [14])
-     collocation       extension: intrusive Galerkin vs non-intrusive collocation
      micro             bechamel microbenchmarks of the numeric kernels
 
    Flags: --quick (small grids / few samples), --paper-mc (1000 MC samples
@@ -32,6 +30,12 @@ let steps = 24
 let h = 0.125e-9
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
+
+(* Mean-block-preconditioned CG, the Table-1 configuration (see the
+   solver ablation). *)
+let mean_pcg =
+  { Opera.Galerkin.default_options with
+    Opera.Galerkin.solver = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } }
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -57,14 +61,14 @@ let run_table1 () =
     (fun target ->
       let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default target in
       let samples = mc_samples_for target in
-      let config =
-        { Opera.Driver.default_config with Opera.Driver.mc_samples = samples; steps; h }
+      let mc = { (Opera.Monte_carlo.default_config ~h ~steps) with Opera.Monte_carlo.samples } in
+      let outcome =
+        Opera.Compare.run ~order:2 ~options:mean_pcg ~mc spec Opera.Varmodel.paper_default
       in
-      let outcome = Opera.Driver.run_grid config spec Opera.Varmodel.paper_default in
+      let label = Printf.sprintf "%dn" (Powergrid.Grid_spec.node_count spec) in
       Util.Table.add_row table
-        (Opera.Compare.row_strings outcome.Opera.Driver.label outcome.Opera.Driver.report
-        @ [ string_of_int samples ]);
-      Printf.printf "  done: %s\n%!" outcome.Opera.Driver.label)
+        (Opera.Compare.row_strings label outcome.Opera.Compare.report @ [ string_of_int samples ]);
+      Printf.printf "  done: %s\n%!" label)
     (table1_sizes ());
   print_string (Util.Table.render table);
   print_newline ()
@@ -98,12 +102,14 @@ let run_figures () =
     !worst
   in
   let probes = if worst_node = center then [| worst_node |] else [| worst_node; center |] in
-  let config =
-    { Opera.Driver.default_config with Opera.Driver.mc_samples = samples; steps; h; probes }
+  let mc =
+    { (Opera.Monte_carlo.default_config ~h ~steps) with Opera.Monte_carlo.samples; probes }
   in
-  let outcome = Opera.Driver.run_grid ~label:"figures" config spec Opera.Varmodel.paper_default in
-  let response = outcome.Opera.Driver.response in
-  let mc = outcome.Opera.Driver.mc in
+  let outcome =
+    Opera.Compare.run ~order:2 ~options:mean_pcg ~mc spec Opera.Varmodel.paper_default
+  in
+  let response = outcome.Opera.Compare.response in
+  let mc = outcome.Opera.Compare.mc in
   let rng = Prob.Rng.create ~seed:2025L () in
   Array.iteri
     (fun p node ->
@@ -215,7 +221,7 @@ let run_order_sweep () =
     { (Opera.Monte_carlo.default_config ~h ~steps) with Opera.Monte_carlo.samples }
   in
   let mc = Opera.Monte_carlo.run ref_model mc_config in
-  let nominal = Opera.Driver.nominal_transient ref_model ~h ~steps in
+  let nominal = Opera.Compare.nominal_transient ref_model ~h ~steps in
   let table =
     Util.Table.create
       [
@@ -227,8 +233,10 @@ let run_order_sweep () =
   List.iter
     (fun order ->
       let model = Opera.Stochastic_model.build ~order vm ~vdd circuit in
-      let config = { Opera.Driver.default_config with Opera.Driver.order; h; steps } in
-      let response, stats, seconds = Opera.Driver.solve_opera config model in
+      let (response, stats), seconds =
+        Util.Timer.time (fun () ->
+            Opera.Galerkin.solve_transient ~options:mean_pcg model ~h ~steps)
+      in
       let report = Opera.Compare.compare ~response ~mc ~nominal ~vdd ~opera_seconds:seconds in
       Util.Table.add_row table
         [
@@ -276,8 +284,10 @@ let run_nvars_sweep () =
       let dim, _ = Linalg.Sparse.dims gt in
       let nnz = Linalg.Sparse.nnz gt in
       let density = 1e6 *. float_of_int nnz /. (float_of_int dim *. float_of_int dim) in
-      let config = { Opera.Driver.default_config with Opera.Driver.h; steps } in
-      let _, stats, seconds = Opera.Driver.solve_opera config model in
+      let (_, stats), seconds =
+        Util.Timer.time (fun () ->
+            Opera.Galerkin.solve_transient ~options:mean_pcg model ~h ~steps)
+      in
       Util.Table.add_row table
         [
           string_of_int r;
@@ -316,14 +326,13 @@ let run_solver_ablation () =
       let model =
         Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd circuit
       in
-      let solve solver =
-        let config = { Opera.Driver.default_config with Opera.Driver.solver; h; steps } in
-        Opera.Driver.solve_opera config model
+      let solve options =
+        Util.Timer.time (fun () -> Opera.Galerkin.solve_transient ~options model ~h ~steps)
       in
-      let r_direct, st_direct, t_direct = solve Opera.Galerkin.Direct in
-      let r_pcg, st_pcg, t_pcg =
-        solve (Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 })
+      let (r_direct, st_direct), t_direct =
+        solve { mean_pcg with Opera.Galerkin.solver = Opera.Galerkin.Direct }
       in
+      let (r_pcg, st_pcg), t_pcg = solve mean_pcg in
       let n = model.Opera.Stochastic_model.n in
       let dmu = ref 0.0 and dsd = ref 0.0 in
       for node = 0 to n - 1 do
@@ -515,16 +524,6 @@ let run_linear_solvers () =
   let amg, t_setup = Util.Timer.time (fun () -> Linalg.Amg.build g) in
   let (x, st), t = Util.Timer.time (fun () -> Linalg.Amg.solve ~tol:1e-10 amg g b) in
   add "cg + amg" t_setup t st.Linalg.Cg.iterations x;
-  let hier, t_setup =
-    Util.Timer.time (fun () ->
-        let n, _ = Linalg.Sparse.dims g in
-        Powergrid.Hierarchical.build g
-          ~part:(Powergrid.Hierarchical.partition_by_stripes ~n ~blocks:8))
-  in
-  let x, t = Util.Timer.time (fun () -> Powergrid.Hierarchical.solve hier b) in
-  add
-    (Printf.sprintf "hierarchical (8 blk, %d ports)" (Powergrid.Hierarchical.ports hier))
-    t_setup t (-1) x;
   print_string (Util.Table.render table);
   Printf.printf "(amg hierarchy: %s)\n%!"
     (String.concat " > " (List.map string_of_int (Linalg.Amg.level_dims amg)))
@@ -656,123 +655,6 @@ let run_spatial () =
     "(short correlation lengths need more KL modes; the inter-die limit is one mode)\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Extension: intrusive Galerkin vs non-intrusive collocation          *)
-(* ------------------------------------------------------------------ *)
-
-let run_collocation () =
-  section "Extension: intrusive Galerkin vs non-intrusive collocation";
-  let sizes = if !quick then [ 1_000 ] else [ 1_000; 2_500; 5_000 ] in
-  let table =
-    Util.Table.create
-      [ ("nodes", Util.Table.Right); ("dim", Util.Table.Right);
-        ("galerkin (s)", Util.Table.Right); ("colloc (s)", Util.Table.Right);
-        ("transients", Util.Table.Right); ("max |dmu| (V)", Util.Table.Right);
-        ("max |dsigma| (V)", Util.Table.Right) ]
-  in
-  List.iter
-    (fun target ->
-      let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default target in
-      let vdd = spec.Powergrid.Grid_spec.vdd in
-      let circuit = Powergrid.Grid_gen.generate spec in
-      let model =
-        Opera.Stochastic_model.build ~order:2 Opera.Varmodel.paper_default ~vdd circuit
-      in
-      let options =
-        { Opera.Galerkin.default_options with
-          Opera.Galerkin.solver = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } }
-      in
-      let (rg, _), t_g =
-        Util.Timer.time (fun () -> Opera.Galerkin.solve_transient ~options model ~h ~steps)
-      in
-      let (rc, runs), t_c =
-        Util.Timer.time (fun () -> Opera.Collocation.solve_transient model ~h ~steps)
-      in
-      let n = model.Opera.Stochastic_model.n in
-      let dmu = ref 0.0 and dsd = ref 0.0 in
-      for node = 0 to n - 1 do
-        dmu :=
-          Float.max !dmu
-            (Float.abs
-               (Opera.Response.mean_at rg ~step:steps ~node
-               -. Opera.Response.mean_at rc ~step:steps ~node));
-        dsd :=
-          Float.max !dsd
-            (Float.abs
-               (Opera.Response.std_at rg ~step:steps ~node
-               -. Opera.Response.std_at rc ~step:steps ~node))
-      done;
-      Util.Table.add_row table
-        [ string_of_int (Powergrid.Grid_spec.node_count spec);
-          string_of_int (Polychaos.Basis.dim model.Opera.Stochastic_model.basis);
-          Printf.sprintf "%.2f" t_g; Printf.sprintf "%.2f" t_c; string_of_int runs;
-          Printf.sprintf "%.2e" !dmu; Printf.sprintf "%.2e" !dsd ])
-    sizes;
-  print_string (Util.Table.render table);
-  Printf.printf
-    "(the two methods agree to truncation order; collocation pays (p+1)^r transients,\n\
-    \ Galerkin one coupled solve — the crossover favors Galerkin as r grows)\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Extension: model order reduction (paper Sec. 5.2, ref. [14])        *)
-(* ------------------------------------------------------------------ *)
-
-let run_mor () =
-  section "Extension: Krylov model order reduction vs full transient";
-  let target = if !quick then 2_500 else 10_000 in
-  let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default target in
-  let circuit = Powergrid.Grid_gen.generate spec in
-  let a = Powergrid.Mna.assemble circuit in
-  let n = a.Powergrid.Mna.n in
-  let g = Powergrid.Mna.g_total a and c = Powergrid.Mna.c_total a in
-  let probe = Powergrid.Grid_gen.center_node spec in
-  let snapshot t =
-    let u = Array.make n 0.0 in
-    Powergrid.Mna.inject_into a t u;
-    u
-  in
-  (* Seed with the excitation at every simulated step (POD-style snapshots):
-     the input term is then represented exactly; the Krylov moments supply
-     the dynamics. *)
-  let inputs =
-    Array.append
-      [| Array.copy a.Powergrid.Mna.u_pad |]
-      (Array.init steps (fun k -> snapshot (float_of_int (k + 1) *. h)))
-  in
-  let full = Array.make (steps + 1) 0.0 in
-  let (), t_full =
-    Util.Timer.time (fun () ->
-        let cfg = Powergrid.Transient.default_config ~h ~steps in
-        Powergrid.Transient.run_circuit cfg a ~on_step:(fun k _ x -> full.(k) <- x.(probe)))
-  in
-  let table =
-    Util.Table.create
-      [ ("blocks", Util.Table.Right); ("k", Util.Table.Right); ("build (s)", Util.Table.Right);
-        ("transient (s)", Util.Table.Right); ("max err @probe (uV)", Util.Table.Right) ]
-  in
-  List.iter
-    (fun blocks ->
-      let red, t_build =
-        Util.Timer.time (fun () -> Powergrid.Mor.reduce ~g ~c ~inputs ~blocks)
-      in
-      let err = ref 0.0 in
-      let (), t_red =
-        Util.Timer.time (fun () ->
-            Powergrid.Mor.transient red ~h ~steps
-              ~inject:(fun t u -> Powergrid.Mna.inject_into a t u)
-              ~n
-              ~on_step:(fun k _ z ->
-                let v = Powergrid.Mor.lift red z ~node:probe in
-                err := Float.max !err (Float.abs (v -. full.(k)))))
-      in
-      Util.Table.add_row table
-        [ string_of_int blocks; string_of_int (Powergrid.Mor.dim red);
-          Printf.sprintf "%.3f" t_build; Printf.sprintf "%.3f" t_red;
-          Printf.sprintf "%.2f" (1e6 *. !err) ])
-    [ 2; 4; 6 ];
-  print_string (Util.Table.render table);
-  Printf.printf "(full transient on %d nodes: %.3f s)\n%!" n t_full
-
-(* ------------------------------------------------------------------ *)
 (* Microbenchmarks (bechamel)                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -858,8 +740,6 @@ let () =
     | "random-walk" -> run_random_walk ()
     | "qmc" -> run_qmc ()
     | "spatial" -> run_spatial ()
-    | "mor" -> run_mor ()
-    | "collocation" -> run_collocation ()
     | "micro" -> run_micro ()
     | other ->
         Printf.eprintf "unknown bench %S\n" other;
@@ -878,7 +758,5 @@ let () =
       run_random_walk ();
       run_qmc ();
       run_spatial ();
-      run_mor ();
-      run_collocation ();
       run_micro ()
   | cmds -> List.iter dispatch cmds

@@ -38,24 +38,22 @@ let run argv =
   @@ fun _ ->
   Cli_common.with_health ~log_level:!log_level ~metrics_out:!metrics_out @@ fun () ->
   let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default !nodes in
-  let config =
-    {
-      Opera.Driver.order = !order;
-      h = !step_ps *. 1e-12;
-      steps = !steps;
-      mc_samples = !samples;
-      seed = Int64.of_int !seed;
-      solver = Cli_common.apply_st_knobs !solver ~candidates:!st_candidates ~seed:!st_seed;
-      ordering = Linalg.Ordering.Nested_dissection;
-      probes = [||];
+  let options =
+    { Opera.Galerkin.default_options with
+      Opera.Galerkin.solver =
+        Cli_common.apply_st_knobs !solver ~candidates:!st_candidates ~seed:!st_seed;
       domains = !domains;
       policy = !policy;
-      warm_start = !warm_start;
-    }
+      warm_start = !warm_start }
   in
-  let outcome = Opera.Driver.run_grid config spec Opera.Varmodel.paper_default in
+  let mc =
+    { (Opera.Monte_carlo.default_config ~h:(!step_ps *. 1e-12) ~steps:!steps) with
+      Opera.Monte_carlo.samples = !samples;
+      seed = Int64.of_int !seed }
+  in
+  let outcome = Opera.Compare.run ~order:!order ~options ~mc spec Opera.Varmodel.paper_default in
+  let label = Printf.sprintf "%dn" (Powergrid.Grid_spec.node_count spec) in
   let table = Util.Table.create Opera.Compare.header in
-  Util.Table.add_row table
-    (Opera.Compare.row_strings outcome.Opera.Driver.label outcome.Opera.Driver.report);
+  Util.Table.add_row table (Opera.Compare.row_strings label outcome.Opera.Compare.report);
   print_string (Util.Table.render table);
-  Cli_common.print_health outcome.Opera.Driver.galerkin_stats
+  Cli_common.print_health outcome.Opera.Compare.galerkin_stats

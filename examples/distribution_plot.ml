@@ -9,15 +9,19 @@ let () =
   let spec = Powergrid.Grid_spec.scale_to_nodes Powergrid.Grid_spec.default target in
   let vdd = spec.Powergrid.Grid_spec.vdd in
   let probe = Powergrid.Grid_gen.center_node spec in
-  let config =
-    { Opera.Driver.default_config with
-      Opera.Driver.mc_samples; steps = 16; probes = [| probe |] }
+  let options =
+    { Opera.Galerkin.default_options with
+      Opera.Galerkin.solver = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } }
+  in
+  let mc =
+    { (Opera.Monte_carlo.default_config ~h:0.125e-9 ~steps:16) with
+      Opera.Monte_carlo.samples = mc_samples; probes = [| probe |] }
   in
   Printf.printf "running OPERA and %d-sample Monte Carlo on %s...\n%!" mc_samples
     (Powergrid.Grid_spec.describe spec);
-  let outcome = Opera.Driver.run_grid ~label:"dist" config spec Opera.Varmodel.paper_default in
-  let response = outcome.Opera.Driver.response in
-  let mc = outcome.Opera.Driver.mc in
+  let outcome = Opera.Compare.run ~order:2 ~options ~mc spec Opera.Varmodel.paper_default in
+  let response = outcome.Opera.Compare.response in
+  let mc = outcome.Opera.Compare.mc in
 
   (* Step with the deepest mean drop at the probe. *)
   let step =

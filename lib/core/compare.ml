@@ -100,3 +100,48 @@ let row_strings label r =
     Printf.sprintf "%.2f" r.opera_seconds;
     Printf.sprintf "%.0fx" r.speedup;
   ]
+
+type outcome = {
+  model : Stochastic_model.t;
+  response : Response.t;
+  galerkin_stats : Galerkin.stats;
+  mc : Monte_carlo.result;
+  nominal : float array;
+  report : report;
+}
+
+let nominal_transient (m : Stochastic_model.t) ~h ~steps =
+  let n = m.Stochastic_model.n in
+  let g = Powergrid.Mna.g_total m.Stochastic_model.mna in
+  let c = Powergrid.Mna.c_total m.Stochastic_model.mna in
+  let out = Array.make ((steps + 1) * n) 0.0 in
+  let inject t u = Powergrid.Mna.inject_into m.Stochastic_model.mna t u in
+  let fdc = Linalg.Sparse_cholesky.factor g in
+  let u0 = Powergrid.Mna.inject m.Stochastic_model.mna 0.0 in
+  let x0 = Linalg.Sparse_cholesky.solve fdc u0 in
+  Array.blit x0 0 out 0 n;
+  let cfg = Powergrid.Transient.default_config ~h ~steps in
+  Powergrid.Transient.run cfg ~g ~c ~inject ~x0 ~on_step:(fun k _t x ->
+      Array.blit x 0 out (k * n) n);
+  out
+
+let run ~order ~options ~(mc : Monte_carlo.config) spec vm =
+  let probes =
+    if Array.length mc.Monte_carlo.probes > 0 then mc.Monte_carlo.probes
+    else [| Powergrid.Grid_gen.center_node spec |]
+  in
+  let mc = { mc with Monte_carlo.probes } in
+  let h = mc.Monte_carlo.h and steps = mc.Monte_carlo.steps in
+  let circuit = Powergrid.Grid_gen.generate spec in
+  let model = Stochastic_model.build ~order vm ~vdd:spec.Powergrid.Grid_spec.vdd circuit in
+  let t0 = Util.Timer.start () in
+  let response, galerkin_stats =
+    Galerkin.solve_transient ~options:{ options with Galerkin.probes } model ~h ~steps
+  in
+  let opera_seconds = Util.Timer.elapsed_s t0 in
+  let mc = Monte_carlo.run model mc in
+  let nominal = nominal_transient model ~h ~steps in
+  let report =
+    compare ~response ~mc ~nominal ~vdd:spec.Powergrid.Grid_spec.vdd ~opera_seconds
+  in
+  { model; response; galerkin_stats; mc; nominal; report }

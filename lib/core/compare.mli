@@ -37,3 +37,32 @@ val row_strings : string -> report -> string list
     ±3sigma column, times and speedup. *)
 
 val header : (string * Util.Table.align) list
+
+(** {1 One Table-1 row, end to end} *)
+
+type outcome = {
+  model : Stochastic_model.t;
+  response : Response.t;
+  galerkin_stats : Galerkin.stats;
+  mc : Monte_carlo.result;
+  nominal : float array;  (** deterministic trajectory, [(steps+1) * n] *)
+  report : report;
+}
+
+val nominal_transient : Stochastic_model.t -> h:float -> steps:int -> float array
+(** Variation-free transient of the grid (the paper's [mu0]), in the
+    [(steps+1) * n] layout. *)
+
+val run :
+  order:int ->
+  options:Galerkin.options ->
+  mc:Monte_carlo.config ->
+  Powergrid.Grid_spec.t ->
+  Varmodel.t ->
+  outcome
+(** The paper's Table-1 pipeline for one grid: generate it, expand it to
+    chaos [order], run the Galerkin transient under [options] (timed into
+    [report.opera_seconds]), the Monte-Carlo baseline [mc] and the nominal
+    reference, and {!compare} them.  [mc] fixes the time axis and the
+    probes of both solves: its [h] and [steps], and its [probes] — or the
+    grid's center node when those are empty — replace [options.probes]. *)

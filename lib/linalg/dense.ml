@@ -42,10 +42,6 @@ let set m i j v =
   check_bounds m i j;
   m.data.((i * m.cols) + j) <- v
 
-let add_entry m i j v =
-  check_bounds m i j;
-  m.data.((i * m.cols) + j) <- m.data.((i * m.cols) + j) +. v
-
 let copy m = { m with data = Array.copy m.data }
 
 let transpose m = init m.cols m.rows (fun i j -> m.data.((j * m.cols) + i))

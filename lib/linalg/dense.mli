@@ -25,9 +25,6 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val add_entry : t -> int -> int -> float -> unit
-(** [add_entry a i j v] adds [v] to entry (i, j). *)
-
 val copy : t -> t
 
 val transpose : t -> t

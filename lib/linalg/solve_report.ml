@@ -6,15 +6,14 @@ type t = {
   rel_residual : float;
   tol : float;
   converged : bool;
-  breakdown : bool;
   wall_seconds : float;
   residual_history : float array;
 }
 
 let rel_of ~residual_norm ~rhs_norm = if rhs_norm > 0.0 then residual_norm /. rhs_norm else 0.0
 
-let make ~solver ~iterations ~residual_norm ~rhs_norm ~tol ~converged ?(breakdown = false)
-    ~wall_seconds ?(residual_history = [||]) () =
+let make ~solver ~iterations ~residual_norm ~rhs_norm ~tol ~converged ~wall_seconds
+    ?(residual_history = [||]) () =
   {
     solver;
     iterations;
@@ -23,16 +22,14 @@ let make ~solver ~iterations ~residual_norm ~rhs_norm ~tol ~converged ?(breakdow
     rel_residual = rel_of ~residual_norm ~rhs_norm;
     tol;
     converged;
-    breakdown;
     wall_seconds;
     residual_history;
   }
 
 let summary r =
-  Printf.sprintf "%s: %s after %d iterations, rel residual %.3e (tol %.1e)%s" r.solver
+  Printf.sprintf "%s: %s after %d iterations, rel residual %.3e (tol %.1e)" r.solver
     (if r.converged then "converged" else "NOT converged")
     r.iterations r.rel_residual r.tol
-    (if r.breakdown then " [breakdown]" else "")
 
 let to_json r =
   let history =
@@ -42,10 +39,10 @@ let to_json r =
   in
   Printf.sprintf
     "{\"solver\": %S, \"iterations\": %d, \"residual_norm\": %.9g, \"rhs_norm\": %.9g, \
-     \"rel_residual\": %.9g, \"tol\": %.9g, \"converged\": %b, \"breakdown\": %b, \
+     \"rel_residual\": %.9g, \"tol\": %.9g, \"converged\": %b, \
      \"wall_seconds\": %.9g, \"residual_history\": [%s]}"
-    r.solver r.iterations r.residual_norm r.rhs_norm r.rel_residual r.tol r.converged r.breakdown
-    r.wall_seconds history
+    r.solver r.iterations r.residual_norm r.rhs_norm r.rel_residual r.tol r.converged r.wall_seconds
+    history
 
 (* ---- aggregation over a run ---------------------------------------- *)
 

@@ -1,21 +1,20 @@
 (** Health report of one linear solve, and per-run aggregation.
 
-    {!Cg.solve_report} / {!Bicgstab.solve_report} thread one of these out
-    of every iterative solve so callers can {e check} convergence instead
-    of silently accepting whatever [max_iter] produced — the spectral
-    Galerkin transient is only as trustworthy as its worst inner solve.
+    {!Cg.solve_report} threads one of these out of every iterative solve
+    so callers can {e check} convergence instead of silently accepting
+    whatever [max_iter] produced — the spectral Galerkin transient is only
+    as trustworthy as its worst inner solve.
     [Opera.Galerkin] aggregates reports over a transient run and applies
     a configurable convergence policy (fail / warn / fallback). *)
 
 type t = {
-  solver : string;  (** "cg", "bicgstab", "direct", ... *)
+  solver : string;  (** "cg", "direct", ... *)
   iterations : int;
   residual_norm : float;  (** final absolute residual 2-norm *)
   rhs_norm : float;  (** [||b||], the convergence reference *)
   rel_residual : float;  (** [residual_norm / rhs_norm]; 0 when [||b|| = 0] *)
   tol : float;  (** requested relative tolerance *)
   converged : bool;
-  breakdown : bool;  (** iteration stopped on numerical breakdown *)
   wall_seconds : float;
   residual_history : float array;
       (** most recent residual norms, oldest first — a bounded ring
@@ -29,7 +28,6 @@ val make :
   rhs_norm:float ->
   tol:float ->
   converged:bool ->
-  ?breakdown:bool ->
   wall_seconds:float ->
   ?residual_history:float array ->
   unit ->

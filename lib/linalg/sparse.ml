@@ -266,18 +266,6 @@ let[@opera.hot] mul_vec_acc ?alpha a x y =
     invalid_arg "Sparse.mul_vec_acc: dimension mismatch";
   mul_vec_acc_off ?alpha a x ~xoff:0 y ~yoff:0
 
-let mul_vec_t a x =
-  if Array.length x <> a.nrows then invalid_arg "Sparse.mul_vec_t: dimension mismatch";
-  let y = Vec.create a.ncols in
-  for j = 0 to a.ncols - 1 do
-    let acc = ref 0.0 in
-    for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-      acc := !acc +. (a.values.(k) *. x.(a.rowind.(k)))
-    done;
-    y.(j) <- !acc
-  done;
-  y
-
 let transpose a =
   (* Counting sort of entries by row. *)
   let counts = Array.make (a.nrows + 1) 0 in

@@ -72,9 +72,6 @@ val mul_vec_acc_off : ?alpha:float -> t -> Vec.t -> xoff:int -> Vec.t -> yoff:in
     vectors — the per-block kernel of the matrix-free augmented operator
     (block vectors stay flat; no sub-array copies). *)
 
-val mul_vec_t : t -> Vec.t -> Vec.t
-(** [mul_vec_t a x] is [A^T x]. *)
-
 val transpose : t -> t
 
 val add : t -> t -> t

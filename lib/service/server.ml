@@ -103,6 +103,7 @@ type state = {
   mlock : Mutex.t;  (* guards cfg.metrics (registries are not thread-safe) *)
   stop : bool Atomic.t;
   mutable conns : conn list;  (* reader-domain only *)
+  chunk : Bytes.t;  (* reader-domain only: the buffer every read lands in *)
 }
 
 let with_metrics state f =
@@ -245,28 +246,40 @@ let handle_request state conn line =
         write_line_opt conn (Protocol.error_line "queue full")
       end
 
-(* Consume every complete line in the connection's buffer. *)
-let drain_lines state conn =
-  let data = Buffer.contents conn.buf in
-  match String.rindex_opt data '\n' with
-  | None -> ()
-  | Some last ->
-      Buffer.clear conn.buf;
-      Buffer.add_substring conn.buf data (last + 1) (String.length data - last - 1);
-      String.split_on_char '\n' (String.sub data 0 last)
-      |> List.iter (fun line ->
-             let line = String.trim line in
-             if line <> "" then handle_request state conn line)
+let max_pending_bytes = 8 * 1024 * 1024
+
+let oversized_line = Printf.sprintf "request line exceeds %d bytes" max_pending_bytes
+
+(* Split the [n] bytes just read at every '\n'.  Only the new bytes are
+   scanned: a complete line is the connection's pending prefix plus the
+   chunk up to the newline, and the tail after the last newline becomes
+   the new prefix.  A prefix past [max_pending_bytes] costs the client
+   its connection. *)
+let consume_chunk state conn n =
+  let chunk = state.chunk in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    if Bytes.get chunk i = '\n' then begin
+      Buffer.add_subbytes conn.buf chunk !start (i - !start);
+      let line = String.trim (Buffer.contents conn.buf) in
+      Buffer.reset conn.buf;
+      start := i + 1;
+      if line <> "" then handle_request state conn line
+    end
+  done;
+  Buffer.add_subbytes conn.buf chunk !start (n - !start);
+  if Buffer.length conn.buf > max_pending_bytes then begin
+    with_metrics state (fun m -> Util.Metrics.incr m "service.errors");
+    write_line_opt conn (Protocol.error_line oversized_line);
+    drop_conn state conn
+  end
 
 let read_chunk state conn =
-  let chunk = Bytes.create 4096 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  match Unix.read conn.fd state.chunk 0 (Bytes.length state.chunk) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_conn state conn
   | 0 -> drop_conn state conn
-  | n ->
-      Buffer.add_subbytes conn.buf chunk 0 n;
-      drain_lines state conn
+  | n -> consume_chunk state conn n
 
 let accept_conn state lfd =
   (* opera-lint: resource — fd tracked in state.conns; drop_conn/shutdown close it *)
@@ -383,6 +396,7 @@ let run cfg =
       mlock = Mutex.create ();
       stop = Atomic.make false;
       conns = [];
+      chunk = Bytes.create 4096;
     }
   in
   let unix_fd = bind_unix cfg.listen in

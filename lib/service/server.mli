@@ -58,6 +58,11 @@ val default_config : config
 (** [opera.sock], no TCP, no cache, queue of 64, registry GC every 32
     requests, engine defaults, global metrics, signals handled. *)
 
+val max_pending_bytes : int
+(** Most bytes one connection may send without a newline (8 MiB).  Past
+    it the server answers with one {!Protocol.error_line} and closes that
+    connection; other connections are unaffected. *)
+
 val run : config -> unit
 (** Bind, serve, block until shutdown, drain, clean up.  Raises
     {!Invalid_config} on a refused configuration and propagates

@@ -126,6 +126,35 @@ let test_batch_resume_and_shard_exit_zero () =
           check "gc keeps a live batch" 0
             (Printf.sprintf "batch --cache-dir %s --resume --gc-results %s" d p)))
 
+(* [opera compare] end to end on a 300-node target grid.  The grid, node
+   count, four error columns, the +-3sigma column and the mu-mu0 column
+   are pinned: a refactor must print them unchanged.  The timing columns
+   are not checked. *)
+let test_compare_pinned_row () =
+  let out = Filename.temp_file "opera_cli_compare" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s compare --nodes 300 --samples 20 --steps 4 --domains 1 >%s 2>&1"
+             (Filename.quote exe) (Filename.quote out))
+      in
+      Alcotest.(check int) "compare exits 0" 0 code;
+      let lines = In_channel.with_open_text out In_channel.input_lines in
+      let cells line =
+        String.split_on_char '|' line |> List.map String.trim |> List.filter (( <> ) "")
+      in
+      let row =
+        match List.filter (fun l -> String.starts_with ~prefix:"| 281n" l) lines with
+        | [ l ] -> cells l
+        | _ -> Alcotest.fail ("no single 281n row in:\n" ^ String.concat "\n" lines)
+      in
+      Alcotest.(check (list string))
+        "non-timing columns"
+        [ "281n"; "281"; "0.0107"; "0.0563"; "6.66"; "6.83"; "+-31"; "0.0036" ]
+        (List.filteri (fun i _ -> i < 8) row))
+
 let suite =
   [
     Alcotest.test_case "--help and --version exit 0" `Quick test_help_exits_zero;
@@ -134,4 +163,5 @@ let suite =
     Alcotest.test_case "serve usage errors exit 2" `Quick test_serve_usage_errors_exit_two;
     Alcotest.test_case "a tiny batch exits 0" `Slow test_batch_runs_a_tiny_batch;
     Alcotest.test_case "resume and shard flags exit 0" `Slow test_batch_resume_and_shard_exit_zero;
+    Alcotest.test_case "compare prints the pinned row" `Slow test_compare_pinned_row;
   ]

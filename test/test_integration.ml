@@ -5,14 +5,19 @@ let outcome =
   lazy
     (let spec = Powergrid.Grid_spec.default in
      let vm = Opera.Varmodel.paper_default in
-     let config =
-       { Opera.Driver.default_config with Opera.Driver.mc_samples = 200; steps = 16 }
+     let options =
+       { Opera.Galerkin.default_options with
+         Opera.Galerkin.solver = Opera.Galerkin.Mean_pcg { tol = 1e-10; max_iter = 500 } }
      in
-     Opera.Driver.run_grid ~label:"integration" config spec vm)
+     let mc =
+       { (Opera.Monte_carlo.default_config ~h:0.125e-9 ~steps:16) with
+         Opera.Monte_carlo.samples = 200 }
+     in
+     Opera.Compare.run ~order:2 ~options ~mc spec vm)
 
 let test_mean_errors_small () =
   let o = Lazy.force outcome in
-  let r = o.Opera.Driver.report in
+  let r = o.Opera.Compare.report in
   (* Paper Table 1: avg error in mu between 0.0137% and 0.2%. *)
   Alcotest.(check bool)
     (Printf.sprintf "avg mu error %.4f%% < 0.5%%" r.Opera.Compare.avg_err_mean_pct)
@@ -25,7 +30,7 @@ let test_mean_errors_small () =
 
 let test_sigma_errors_moderate () =
   let o = Lazy.force outcome in
-  let r = o.Opera.Driver.report in
+  let r = o.Opera.Compare.report in
   (* Paper: avg sigma error 1.5-6.7%; with 200 MC samples the sampling noise
      itself is ~5-10%, so accept a loose band. *)
   Alcotest.(check bool)
@@ -35,7 +40,7 @@ let test_sigma_errors_moderate () =
 
 let test_three_sigma_band () =
   let o = Lazy.force outcome in
-  let r = o.Opera.Driver.report in
+  let r = o.Opera.Compare.report in
   (* Paper: +-3sigma about +-30..46% of the nominal drop. *)
   Alcotest.(check bool)
     (Printf.sprintf "+-3sigma %.1f%% within [15%%, 60%%]"
@@ -46,7 +51,7 @@ let test_three_sigma_band () =
 
 let test_mu_approx_mu0 () =
   let o = Lazy.force outcome in
-  let r = o.Opera.Driver.report in
+  let r = o.Opera.Compare.report in
   (* Paper: mu - mu0 negligible as % of VDD. *)
   Alcotest.(check bool)
     (Printf.sprintf "mean shift %.4f%% VDD < 0.05%%" r.Opera.Compare.mean_shift_pct_vdd)
@@ -55,7 +60,7 @@ let test_mu_approx_mu0 () =
 
 let test_opera_faster_than_mc () =
   let o = Lazy.force outcome in
-  let r = o.Opera.Driver.report in
+  let r = o.Opera.Compare.report in
   Alcotest.(check bool)
     (Printf.sprintf "speedup %.1fx > 1 at 200 samples" r.Opera.Compare.speedup)
     true
@@ -65,8 +70,8 @@ let test_probe_histogram_matches_mc () =
   (* Figures 1-2: the OPERA-sampled voltage distribution at the probe node
      tracks the MC histogram. *)
   let o = Lazy.force outcome in
-  let response = o.Opera.Driver.response in
-  let mc = o.Opera.Driver.mc in
+  let response = o.Opera.Compare.response in
+  let mc = o.Opera.Compare.mc in
   let node = response.Opera.Response.probes.(0) in
   (* Pick the step with the largest mean drop at the probe. *)
   let step =
@@ -103,17 +108,17 @@ let test_probe_histogram_matches_mc () =
 
 let test_nominal_matches_deterministic_transient () =
   let o = Lazy.force outcome in
-  let model = o.Opera.Driver.model in
-  let nominal = o.Opera.Driver.nominal in
+  let model = o.Opera.Compare.model in
+  let nominal = o.Opera.Compare.nominal in
   (* Spot-check against an independent deterministic run. *)
   let a = model.Opera.Stochastic_model.mna in
   let cfg = Powergrid.Transient.default_config ~h:0.125e-9 ~steps:16 in
   let n = model.Opera.Stochastic_model.n in
   let last = Array.make n 0.0 in
   Powergrid.Transient.run_circuit cfg a ~on_step:(fun _ _ x -> Array.blit x 0 last 0 n);
-  let from_driver = Array.sub nominal (16 * n) n in
+  let from_compare = Array.sub nominal (16 * n) n in
   Alcotest.(check bool) "nominal trajectory consistent" true
-    (Linalg.Vec.approx_equal ~tol:1e-9 last from_driver)
+    (Linalg.Vec.approx_equal ~tol:1e-9 last from_compare)
 
 let suite =
   [

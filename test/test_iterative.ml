@@ -1,4 +1,4 @@
-(* CG / PCG / BiCGSTAB and the preconditioners. *)
+(* CG / PCG and the preconditioners. *)
 
 let make_system ?(n = 50) ?(extra = 80) () =
   let rng = Helpers.rng () in
@@ -43,30 +43,6 @@ let test_cg_zero_rhs () =
   Alcotest.(check bool) "trivially converged" true stats.Linalg.Cg.converged;
   Helpers.check_float "zero solution" 0.0 (Linalg.Vec.norm2 x)
 
-let test_bicgstab_spd () =
-  let a, x_true, b = make_system () in
-  let x, stats = Linalg.Bicgstab.solve_sparse ~tol:1e-12 a b in
-  Alcotest.(check bool) "converged" true stats.Linalg.Cg.converged;
-  Alcotest.(check bool) "accurate" true (Linalg.Vec.rel_error x ~reference:x_true < 1e-7)
-
-let test_bicgstab_nonsymmetric () =
-  let rng = Helpers.rng () in
-  let n = 40 in
-  let base = Helpers.random_sparse_spd rng n ~extra_edges:60 in
-  let noise =
-    Linalg.Sparse.of_triplets ~nrows:n ~ncols:n
-      (List.init 30 (fun _ ->
-           (Prob.Rng.int rng n, Prob.Rng.int rng n, Prob.Rng.float_range rng (-0.2) 0.2)))
-  in
-  let a = Linalg.Sparse.add base noise in
-  let x_true = Helpers.random_vec rng n in
-  let b = Linalg.Sparse.mul_vec a x_true in
-  let x, stats =
-    Linalg.Bicgstab.solve_sparse ~precond:(Linalg.Cg.jacobi a) ~tol:1e-12 a b
-  in
-  Alcotest.(check bool) "converged" true stats.Linalg.Cg.converged;
-  Alcotest.(check bool) "accurate" true (Linalg.Vec.rel_error x ~reference:x_true < 1e-6)
-
 let test_jacobi_rejects_zero_diag () =
   let a = Linalg.Sparse.of_triplets ~nrows:2 ~ncols:2 [ (0, 1, 1.0); (1, 0, 1.0) ] in
   Alcotest.(check bool) "zero diagonal rejected" true
@@ -93,8 +69,6 @@ let suite =
     Alcotest.test_case "cg ic0" `Quick test_cg_ic0;
     Alcotest.test_case "cg iteration budget" `Quick test_cg_iteration_budget;
     Alcotest.test_case "cg zero rhs" `Quick test_cg_zero_rhs;
-    Alcotest.test_case "bicgstab on spd" `Quick test_bicgstab_spd;
-    Alcotest.test_case "bicgstab non-symmetric" `Quick test_bicgstab_nonsymmetric;
     Alcotest.test_case "jacobi rejects zero diag" `Quick test_jacobi_rejects_zero_diag;
     prop_cg_converges;
   ]

@@ -51,18 +51,19 @@ let test_galerkin_rhs_matches_quadrature () =
       nodes
   done
 
-let test_driver_direct_solver () =
+let test_compare_direct_solver () =
   let spec = Helpers.small_grid_spec in
-  let config =
-    { Opera.Driver.default_config with
-      Opera.Driver.solver = Opera.Galerkin.Direct; mc_samples = 40; steps = 6 }
+  let mc =
+    { (Opera.Monte_carlo.default_config ~h:0.125e-9 ~steps:6) with Opera.Monte_carlo.samples = 40 }
   in
-  let outcome = Opera.Driver.run_grid ~label:"direct-e2e" config spec Opera.Varmodel.paper_default in
-  Alcotest.(check string) "label" "direct-e2e" outcome.Opera.Driver.label;
-  Alcotest.(check bool) "finite speedup" true
-    (Float.is_finite outcome.Opera.Driver.report.Opera.Compare.speedup);
-  Alcotest.(check bool) "mean error sane" true
-    (outcome.Opera.Driver.report.Opera.Compare.avg_err_mean_pct < 1.0)
+  let outcome =
+    Opera.Compare.run ~order:2 ~options:Opera.Galerkin.default_options ~mc spec
+      Opera.Varmodel.paper_default
+  in
+  let report = outcome.Opera.Compare.report in
+  Alcotest.(check int) "nodes" (Powergrid.Grid_spec.node_count spec) report.Opera.Compare.nodes;
+  Alcotest.(check bool) "finite speedup" true (Float.is_finite report.Opera.Compare.speedup);
+  Alcotest.(check bool) "mean error sane" true (report.Opera.Compare.avg_err_mean_pct < 1.0)
 
 let test_response_density () =
   (* A purely Gaussian response: density_at must equal the normal pdf. *)
@@ -178,7 +179,7 @@ let suite =
   [
     test_kron_mixed_product;
     Alcotest.test_case "galerkin rhs = quadrature" `Quick test_galerkin_rhs_matches_quadrature;
-    Alcotest.test_case "driver direct solver e2e" `Slow test_driver_direct_solver;
+    Alcotest.test_case "driver direct solver e2e" `Slow test_compare_direct_solver;
     Alcotest.test_case "response density" `Quick test_response_density;
     Alcotest.test_case "sparse get edges" `Quick test_sparse_get_edges;
     Alcotest.test_case "table render" `Quick test_table_render;
@@ -254,61 +255,4 @@ let suite =
       Alcotest.test_case "svg map structure" `Quick test_svg_map_structure;
       Alcotest.test_case "svg constant map" `Quick test_svg_map_constant_values;
       Alcotest.test_case "ibm-style netlist" `Quick test_ibm_style_netlist;
-    ]
-
-let test_low_rank_update () =
-  (* Decap/conductance edits via Sherman-Morrison-Woodbury must match a
-     full refactorization. *)
-  let rng = Helpers.rng () in
-  let n = 40 in
-  let a = Helpers.random_sparse_spd rng n ~extra_edges:60 in
-  let f = Linalg.Sparse_cholesky.factor a in
-  (* rank-3 diagonal update, mixed signs *)
-  let edits = [ (3, 0.8); (17, 2.5); (31, -0.05) ] in
-  let u = List.map (fun (node, delta) -> fst (Linalg.Low_rank.node_update ~n ~node ~delta)) edits in
-  let c = List.map snd edits in
-  let upd = Linalg.Low_rank.prepare f ~u:(Array.of_list u) ~c:(Array.of_list c) in
-  Alcotest.(check int) "rank" 3 (Linalg.Low_rank.rank upd);
-  (* reference: modified matrix refactored *)
-  let a' =
-    List.fold_left
-      (fun acc (node, delta) ->
-        Linalg.Sparse.add acc (Linalg.Sparse.of_triplets ~nrows:n ~ncols:n [ (node, node, delta) ]))
-      a edits
-  in
-  let f' = Linalg.Sparse_cholesky.factor a' in
-  for _ = 1 to 5 do
-    let b = Helpers.random_vec rng n in
-    let x_smw = Linalg.Low_rank.solve upd b in
-    let x_ref = Linalg.Sparse_cholesky.solve f' b in
-    Alcotest.(check bool) "SMW matches refactor" true
-      (Linalg.Vec.approx_equal ~tol:1e-8 x_smw x_ref)
-  done
-
-let test_low_rank_general_vectors () =
-  (* Non-diagonal update: a new conductance between two nodes is
-     g (e_i - e_j)(e_i - e_j)^T. *)
-  let rng = Helpers.rng () in
-  let n = 25 in
-  let a = Helpers.random_sparse_spd rng n ~extra_edges:30 in
-  let f = Linalg.Sparse_cholesky.factor a in
-  let u = Linalg.Vec.create n in
-  u.(4) <- 1.0;
-  u.(19) <- -1.0;
-  let g_new = 0.7 in
-  let upd = Linalg.Low_rank.prepare f ~u:[| u |] ~c:[| g_new |] in
-  let b = Helpers.random_vec rng n in
-  let x_smw = Linalg.Low_rank.solve upd b in
-  let builder = Linalg.Sparse_builder.create ~nrows:n ~ncols:n () in
-  Linalg.Sparse_builder.stamp_conductance builder (Some 4) (Some 19) g_new;
-  let a' = Linalg.Sparse.add a (Linalg.Sparse_builder.to_csc builder) in
-  let x_ref = Linalg.Sparse_cholesky.solve (Linalg.Sparse_cholesky.factor a') b in
-  Alcotest.(check bool) "edge insertion matches" true
-    (Linalg.Vec.approx_equal ~tol:1e-8 x_smw x_ref)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "low-rank diagonal update" `Quick test_low_rank_update;
-      Alcotest.test_case "low-rank edge insertion" `Quick test_low_rank_general_vectors;
     ]

@@ -500,6 +500,46 @@ let test_sigterm_drains_and_cleans_up () =
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
       try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
 
+(* Request-line framing: a client that streams past the pending-byte cap
+   with no newline gets one error line and loses its connection, while
+   another client's requests — one of them a multi-chunk line padded
+   with JSON whitespace — are answered byte-for-byte as before. *)
+let test_serve_caps_unterminated_lines () =
+  let sock = temp_sock () in
+  with_server (server_config ~sock ~cache_dir:None) (fun () ->
+      let b = connect sock in
+      let line = batch_line (dc_batch_doc ()) in
+      let reference, ref_done = rpc b line in
+      Alcotest.(check int) "reference records" 2 (List.length reference);
+      let a = connect sock in
+      (* a server that never answers fails the test instead of hanging it *)
+      Unix.setsockopt_float a.fd Unix.SO_RCVTIMEO 30.0;
+      let flood =
+        Domain.spawn (fun () ->
+            let block = Bytes.make 65536 'x' in
+            let left = ref (Service.Server.max_pending_bytes + 1) in
+            while !left > 0 do
+              left := !left - Unix.write a.fd block 0 (min !left (Bytes.length block))
+            done)
+      in
+      let padded = "{" ^ String.make 20_000 ' ' ^ String.sub line 1 (String.length line - 1) in
+      let records, done_ = rpc b padded in
+      Domain.join flood;
+      Alcotest.(check (list string)) "records while flooded" reference records;
+      Alcotest.(check string) "done line while flooded" ref_done done_;
+      let err = input_line a.ic in
+      Alcotest.(check string) "flooding client gets one error line"
+        (Service.Protocol.error_line
+           (Printf.sprintf "request line exceeds %d bytes" Service.Server.max_pending_bytes))
+        err;
+      Alcotest.(check bool) "then its connection is closed" true
+        (match input_line a.ic with _ -> false | exception End_of_file -> true);
+      Alcotest.(check int) "one protocol error counted" 1 (stats_counter b "service.errors");
+      let _, pong = rpc b {|{"op":"ping"}|} in
+      Alcotest.(check string) "second client still served" Service.Protocol.pong pong;
+      Unix.close a.fd;
+      disconnect b)
+
 let suite =
   [
     Alcotest.test_case "queue: FIFO order and capacity" `Quick test_queue_order_and_capacity;
@@ -512,6 +552,8 @@ let suite =
     Alcotest.test_case "store: hits refresh the LRU clock" `Quick test_store_touch_on_hit;
     Alcotest.test_case "registry: count-capped sweep" `Quick test_registry_sweep;
     Alcotest.test_case "serve: ping and malformed requests" `Quick test_serve_ping_and_errors;
+    Alcotest.test_case "serve: unterminated flood is capped" `Quick
+      test_serve_caps_unterminated_lines;
     Alcotest.test_case "serve: warm replay is bitwise and solve-free" `Slow
       test_serve_warm_replay_bitwise;
     Alcotest.test_case "serve: eviction spares the journal" `Slow

@@ -1,5 +1,5 @@
 (* Solver health: convergence policies on the Galerkin PCG routes, the
-   solve reports coming out of Cg/Bicgstab, and the metrics registry the
+   solve reports coming out of Cg, and the metrics registry the
    instrumented phases feed.
 
    The starved solver [Mean_pcg { tol = 1e-14; max_iter = 2 }] cannot
@@ -206,17 +206,6 @@ let test_cg_zero_rhs () =
   Alcotest.(check int) "no iterations" 0 report.Linalg.Solve_report.iterations;
   Helpers.check_float ~eps:0.0 "zero residual" 0.0 report.Linalg.Solve_report.residual_norm
 
-let test_bicgstab_zero_rhs () =
-  let rng = Helpers.rng () in
-  let a = Helpers.random_sparse_spd rng 10 ~extra_edges:4 in
-  let x, report =
-    Linalg.Bicgstab.solve_report ~matvec:(Linalg.Sparse.mul_vec a) ~b:(Array.make 10 0.0)
-      ~x0:(Array.init 10 float_of_int) ()
-  in
-  Alcotest.(check bool) "x = 0 exactly" true (Array.for_all (fun v -> v = 0.0) x);
-  Alcotest.(check bool) "converged" true report.Linalg.Solve_report.converged;
-  Alcotest.(check int) "no iterations" 0 report.Linalg.Solve_report.iterations
-
 let test_cg_history_ring () =
   let rng = Helpers.rng () in
   let n = 40 in
@@ -281,8 +270,6 @@ let suite =
     Alcotest.test_case "metrics JSON is sorted; reset clears" `Quick
       test_metrics_sorted_and_reset;
     Alcotest.test_case "cg: zero rhs returns x = 0 immediately" `Quick test_cg_zero_rhs;
-    Alcotest.test_case "bicgstab: zero rhs returns x = 0 immediately" `Quick
-      test_bicgstab_zero_rhs;
     Alcotest.test_case "cg: residual history ring buffer" `Quick test_cg_history_ring;
     Alcotest.test_case "solve report summary and JSON" `Quick test_report_summary_and_json;
   ]
