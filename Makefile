@@ -9,7 +9,7 @@ help:
 	@echo "  lint           opera-lint typedtree analysis over lib/ and tools/ (R1-R8; exit 1 on unwaived findings)"
 	@echo "  lint-json      lint + machine-readable LINT_report.json (v2: per-rule, race, cache, timings)"
 	@echo "  lint-sarif     lint + SARIF 2.1.0 report in LINT_report.sarif"
-	@echo "  ci             format check, lint, strict-warning build (--profile ci), tests, bench smokes"
+	@echo "  ci             format check, lint, strict-warning build (--profile ci), tests, examples, bench smokes"
 	@echo "  bench*         benchmark drivers (bench, bench-quick, bench-paper, bench-galerkin, bench-metrics, bench-batch, bench-transient, bench-st, bench-service, bench-scale)"
 	@echo "  examples       run every example binary"
 	@echo "  clean          dune clean"
@@ -50,9 +50,11 @@ lint-sarif:
 # Everything a reviewer runs: the format check (when ocamlformat is
 # available), the lint gate, then a strict-warning build and the test
 # suite under the ci profile (warnings-as-errors for lib/; the dev
-# profile stays lenient), then the quick bench smokes and the
-# performance ledger's smoke run (perfbench/smoke.py: every workload at
-# reduced size, every BENCHMARK.json metric name and unit checked).
+# profile stays lenient), then every example binary (batch_sweep runs a
+# cold then warm batch through an artifact store), the quick bench
+# smokes and the performance ledger's smoke run (perfbench/smoke.py:
+# every workload at reduced size, every BENCHMARK.json metric name and
+# unit checked).
 ci:
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 		dune build @fmt || exit 1; \
@@ -63,6 +65,7 @@ ci:
 	dune exec bench/validate_metrics.exe -- LINT_report.json
 	dune build @all --profile ci
 	dune runtest --profile ci
+	$(MAKE) examples
 	dune exec bench/transient_bench.exe -- --quick --out transient_smoke.json > /dev/null
 	dune exec bench/st_bench.exe -- --quick --out st_smoke.json > /dev/null
 	dune exec bench/batch_bench.exe -- --quick --out batch_smoke.json > /dev/null

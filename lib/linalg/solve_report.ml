@@ -31,19 +31,6 @@ let summary r =
     (if r.converged then "converged" else "NOT converged")
     r.iterations r.rel_residual r.tol
 
-let to_json r =
-  let history =
-    r.residual_history |> Array.to_list
-    |> List.map (fun v -> Printf.sprintf "%.9g" v)
-    |> String.concat ", "
-  in
-  Printf.sprintf
-    "{\"solver\": %S, \"iterations\": %d, \"residual_norm\": %.9g, \"rhs_norm\": %.9g, \
-     \"rel_residual\": %.9g, \"tol\": %.9g, \"converged\": %b, \
-     \"wall_seconds\": %.9g, \"residual_history\": [%s]}"
-    r.solver r.iterations r.residual_norm r.rhs_norm r.rel_residual r.tol r.converged r.wall_seconds
-    history
-
 (* ---- aggregation over a run ---------------------------------------- *)
 
 type aggregate = {
@@ -81,10 +68,3 @@ let agg_summary a =
     "%d iterative solves, %d iterations, %d unconverged, %d fallbacks, worst rel residual %.3e, \
      %.3f s"
     a.solves a.iterations a.unconverged a.fallbacks a.worst_rel_residual a.wall_seconds
-
-let agg_to_json a =
-  Printf.sprintf
-    "{\"solves\": %d, \"iterations\": %d, \"unconverged\": %d, \"fallbacks\": %d, \
-     \"worst_rel_residual\": %.9g, \"wall_seconds\": %.9g, \"healthy\": %b}"
-    a.solves a.iterations a.unconverged a.fallbacks a.worst_rel_residual a.wall_seconds
-    (agg_healthy a)

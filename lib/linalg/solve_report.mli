@@ -37,8 +37,6 @@ val make :
 val summary : t -> string
 (** One-line human-readable summary. *)
 
-val to_json : t -> string
-
 (** {2 Per-run aggregation} *)
 
 type aggregate = {
@@ -62,5 +60,3 @@ val agg_healthy : aggregate -> bool
     all meet the requested tolerance. *)
 
 val agg_summary : aggregate -> string
-
-val agg_to_json : aggregate -> string

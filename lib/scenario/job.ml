@@ -118,7 +118,8 @@ let tileable regions =
   rx * ry = regions
 
 let check_regions regions =
-  if tileable regions then Ok regions
+  if regions <= 0 then positive_int "regions" regions
+  else if tileable regions then Ok regions
   else begin
     let below = ref (regions - 1) in
     while not (tileable !below) do decr below done;

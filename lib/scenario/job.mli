@@ -65,6 +65,12 @@ val region_split : int -> int * int
     counts where [rx * ry = regions], so parsed jobs always run with the
     region count they asked for. *)
 
+val check_regions : int -> (int, string) result
+(** [Ok regions] when the count is positive and {!region_split} tiles it
+    exactly; otherwise the error message naming the field (and, for a
+    non-tileable count, the nearest tileable ones).  {!of_json} and
+    [opera special --regions] both validate through it. *)
+
 val of_json : ?defaults:Util.Json.t -> ?name:string -> Util.Json.t -> (t, string) result
 (** Parse one job object.  Missing fields fall back to [defaults] (an
     object) and then to built-in defaults; unknown fields are an error,

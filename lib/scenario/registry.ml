@@ -2,7 +2,8 @@
 
    One completed job = one journal file in the cache dir,
    [result-<Job.result_signature>.opra]: a checksummed Util.Codec frame
-   holding the job's JSONL record as an encoded Util.Json AST.  Records
+   with zero sections whose meta is the job's JSONL record as an encoded
+   Util.Json AST.  Records
    are journaled the moment a job completes (atomic temp-file + rename
    per entry), so a batch killed at job N-1 keeps N-1 entries intact —
    there is no index file to corrupt, the directory IS the journal.
@@ -32,10 +33,6 @@ let create ~dir () =
   | Some d -> if not (Sys.file_exists d) then ( try Sys.mkdir d 0o755 with Sys_error _ -> ())
   | None -> ());
   { dir; lock = Mutex.create (); stats = { replayed = 0; journaled = 0; corrupt = 0 } }
-
-let disabled = { dir = None; lock = Mutex.create (); stats = { replayed = 0; journaled = 0; corrupt = 0 } }
-
-let enabled t = t.dir <> None
 
 let stats t = t.stats
 
@@ -112,9 +109,10 @@ let record t job json =
   match path t job with
   | None -> ()
   | Some file ->
-      let bytes = Util.Codec.frame ~kind ~version (fun e -> write_json e json) in
       with_lock t (fun () ->
-          Util.Codec.write_file file bytes;
+          Util.Codec.write_frame_v2 file ~kind ~version
+            ~meta:(fun e -> write_json e json)
+            ~sections:[];
           t.stats.journaled <- t.stats.journaled + 1)
 
 let lookup t job =
@@ -131,26 +129,23 @@ let lookup t job =
         (try Sys.remove file with Sys_error _ -> ());
         None
       in
-      match Util.Codec.read_file file with
-      | exception Util.Codec.Corrupt why -> drop why
-      | None -> None
-      | Some bytes -> (
-          match
-            let d = Util.Codec.unframe ~kind ~version bytes in
+      match
+        Option.map
+          (fun (d, _) ->
             let json = read_json d in
             Util.Codec.expect_end d;
-            json
-          with
-          | json ->
-              t.stats.replayed <- t.stats.replayed + 1;
-              Store.touch file;
-              Some json
-          | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-          | exception e ->
-              let why =
-                match e with Util.Codec.Corrupt why -> why | e -> Printexc.to_string e
-              in
-              drop why))
+            json)
+          (Util.Codec.read_frame_v2 ~kind ~version file)
+      with
+      | None -> None
+      | Some json ->
+          t.stats.replayed <- t.stats.replayed + 1;
+          Store.touch file;
+          Some json
+      | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+      | exception e ->
+          let why = match e with Util.Codec.Corrupt why -> why | e -> Printexc.to_string e in
+          drop why)
 
 let gc t ~keep =
   match t.dir with

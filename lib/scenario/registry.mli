@@ -4,8 +4,8 @@
     One completed job is one file in the cache directory,
     [result-<key>.opra] with [key = Job.result_signature] (operator
     digest plus every record-shaping knob the operator bytes exclude).
-    Entries are {!Util.Codec} frames holding the job's rendered-record
-    AST; each is written atomically (temp file + rename) the moment the
+    Entries are {!Util.Codec} frames (zero sections) holding the job's
+    rendered-record AST; each is written atomically (temp file + rename) the moment the
     job completes, so a killed batch keeps every finished job's record
     intact — the directory is the journal, there is no index file to
     corrupt.
@@ -32,10 +32,6 @@ type t
 val create : dir:string option -> unit -> t
 (** [dir = None] disables the registry ({!lookup} misses, {!record} is a
     no-op); [Some d] creates [d] if needed. *)
-
-val disabled : t
-
-val enabled : t -> bool
 
 val stats : t -> stats
 

@@ -19,8 +19,6 @@ let create ?(metrics = Util.Metrics.global) ~dir () =
 
 let disabled = { dir = None; metrics = Util.Metrics.global; stats = { hits = 0; misses = 0; corrupt = 0; writes = 0 } }
 
-let enabled t = t.dir <> None
-
 let stats t = t.stats
 
 let key_of_bytes bytes = Digest.to_hex (Digest.string bytes)
@@ -43,83 +41,66 @@ let touch file =
      read-only cache dir must not fail the lookup that reused it. *)
   try Unix.utimes file 0.0 0.0 with Unix.Unix_error _ -> ()
 
-(* The shared skeleton of both lookup shapes: count the miss and encode
-   on rebuild, never trust a damaged artifact (log, drop, rebuild), and
-   classify every decode outcome.  [write] publishes a rebuilt value to
-   [file]; [read] returns the raw load result;
-   [finish] turns it into the value (both may raise [Corrupt]). *)
-let lookup t ~file ~write ~read ~finish ~on_hit ~build =
-  let rebuild () =
-    t.stats.misses <- t.stats.misses + 1;
-    Util.Metrics.incr t.metrics "store.misses";
-    let value = build () in
-    write value;
-    t.stats.writes <- t.stats.writes + 1;
-    Util.Metrics.incr t.metrics "store.writes";
-    value
-  in
-  let corrupt why =
-    t.stats.corrupt <- t.stats.corrupt + 1;
-    Util.Metrics.incr t.metrics "store.corrupt";
-    Util.Log.warnf "store: rebuilding corrupt artifact %s (%s)" file why;
-    remove_corrupt file;
-    rebuild ()
-  in
-  match read () with
-  | exception Util.Codec.Corrupt why -> corrupt why
-  | None -> rebuild ()
-  | Some loaded -> (
-      match finish loaded with
-      | value ->
-          t.stats.hits <- t.stats.hits + 1;
-          Util.Metrics.incr t.metrics "store.hits";
-          on_hit loaded;
-          touch file;
-          value
-      | exception Util.Codec.Corrupt why -> corrupt why
-      | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-      | exception e ->
-          (* A checksum-valid frame whose payload still blows up the
-             decoder (stale encoder, schema drift the version tag
-             missed) is cache damage, not a bug worth crashing the
-             batch over — same drop-and-rebuild path as Corrupt. *)
-          corrupt (Printexc.to_string e))
-
-let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
-  match path t ~kind ~key with
-  | None -> build ()
-  | Some file ->
-      lookup t ~file
-        ~write:(fun value ->
-          Util.Codec.write_file file (Util.Codec.frame ~kind ~version (encode value)))
-        ~read:(fun () -> Util.Codec.read_frame ~kind ~version file)
-        ~finish:(fun d ->
-          let value = decode d in
-          Util.Codec.expect_end d;
-          value)
-        ~on_hit:(fun _ -> ())
-        ~build
-
+(* Read-through lookup: count the miss and encode on rebuild, never
+   trust a damaged artifact (log, drop, rebuild), and classify every
+   decode outcome. *)
 let find_or_build_sections t ~kind ~version ~key ~encode ~decode ~build =
   match path t ~kind ~key with
   | None -> build ()
-  | Some file ->
-      lookup t ~file
-        ~write:(fun value ->
-          let meta, sections = encode value in
-          Util.Codec.write_frame_v2 file ~kind ~version ~meta ~sections)
-        ~read:(fun () -> Util.Codec.read_frame_v2 ~kind ~version file)
-        ~finish:(fun (d, sections) ->
-          let value = decode d sections in
-          Util.Codec.expect_end d;
-          value)
-        ~on_hit:(fun (_, sections) ->
-          (* Warm replays should be mapped views, not decoded copies;
-             the split tells a perf regression from a cache win. *)
-          if Util.Codec.sections_mapped sections then
-            Util.Metrics.incr t.metrics "store.map_hits"
-          else Util.Metrics.incr t.metrics "store.full_decodes")
-        ~build
+  | Some file -> (
+      let rebuild () =
+        t.stats.misses <- t.stats.misses + 1;
+        Util.Metrics.incr t.metrics "store.misses";
+        let value = build () in
+        let meta, sections = encode value in
+        Util.Codec.write_frame_v2 file ~kind ~version ~meta ~sections;
+        t.stats.writes <- t.stats.writes + 1;
+        Util.Metrics.incr t.metrics "store.writes";
+        value
+      in
+      let corrupt why =
+        t.stats.corrupt <- t.stats.corrupt + 1;
+        Util.Metrics.incr t.metrics "store.corrupt";
+        Util.Log.warnf "store: rebuilding corrupt artifact %s (%s)" file why;
+        remove_corrupt file;
+        rebuild ()
+      in
+      match Util.Codec.read_frame_v2 ~kind ~version file with
+      | exception Util.Codec.Corrupt why -> corrupt why
+      | None -> rebuild ()
+      | Some (d, sections) -> (
+          match
+            let value = decode d sections in
+            Util.Codec.expect_end d;
+            value
+          with
+          | value ->
+              t.stats.hits <- t.stats.hits + 1;
+              Util.Metrics.incr t.metrics "store.hits";
+              (* Warm replays of section frames should be mapped views,
+                 not decoded copies; the split tells a perf regression
+                 from a cache win. *)
+              if Util.Codec.section_count sections > 0 then
+                if Util.Codec.sections_mapped sections then
+                  Util.Metrics.incr t.metrics "store.map_hits"
+                else Util.Metrics.incr t.metrics "store.full_decodes";
+              touch file;
+              value
+          | exception Util.Codec.Corrupt why -> corrupt why
+          | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+          | exception e ->
+              (* A checksum-valid frame whose payload still blows up the
+                 decoder (stale encoder, schema drift the version tag
+                 missed) is cache damage, not a bug worth crashing the
+                 batch over — same drop-and-rebuild path as Corrupt. *)
+              corrupt (Printexc.to_string e)))
+
+(* A value with no bulk arrays is a frame with zero sections. *)
+let find_or_build t ~kind ~version ~key ~encode ~decode ~build =
+  find_or_build_sections t ~kind ~version ~key
+    ~encode:(fun value -> (encode value, []))
+    ~decode:(fun d _ -> decode d)
+    ~build
 
 (* ---- garbage collection ----------------------------------------------
 
@@ -148,9 +129,6 @@ let gc_dir ~dir ~kind ~keep =
           end
           else removed)
         0 files
-
-let gc t ~kind ~keep =
-  match t.dir with None -> 0 | Some dir -> gc_dir ~dir ~kind ~keep
 
 (* ---- byte-capped LRU eviction ----------------------------------------
 

@@ -3,8 +3,8 @@
     One artifact per file, [<kind>-<key>.opra], where [key] is the hex
     digest of the canonical {!Util.Codec} bytes of everything the
     artifact depends on (grid, variation model, solver route, schema
-    version — see DESIGN.md §9).  Payloads are {!Util.Codec} frames with
-    versioned headers and checksums; a file that fails any validation —
+    version — see DESIGN.md §9).  Every artifact is one {!Util.Codec}
+    frame with a versioned header and a checksum; a file that fails any validation —
     missing, truncated, bit-flipped, wrong kind, older schema version,
     malformed payload — is logged, deleted and rebuilt, never trusted.
     Floats cross the codec bit-exactly, so a warm run reproduces the
@@ -29,8 +29,6 @@ val create : ?metrics:Util.Metrics.t -> dir:string option -> unit -> t
 
 val disabled : t
 (** A store with no directory: {!find_or_build} always builds. *)
-
-val enabled : t -> bool
 
 val stats : t -> stats
 
@@ -63,10 +61,12 @@ val find_or_build :
     is treated the same way: logged, dropped, rebuilt.  Only
     [Out_of_memory] and [Stack_overflow] stay fatal.  On miss,
     [build ()] runs and its encoding is written back atomically (temp
-    file + rename, world-readable).  The hit path streams the frame
-    ({!Util.Codec.read_frame}): the artifact is resident once, with the
-    checksum folded during the read — gigabyte factors never occupy
-    double their size. *)
+    file + rename, world-readable).  The value is stored as a frame with
+    zero sections — [encode] fills its meta — so this is
+    {!find_or_build_sections} with no bulk arrays.  The hit path reads
+    the frame in one streaming pass into one buffer, with the checksum
+    folded during the read and [decode] reading straight out of that
+    buffer — gigabyte factors never occupy double their size. *)
 
 val find_or_build_sections :
   t ->
@@ -77,16 +77,16 @@ val find_or_build_sections :
   decode:(Util.Codec.decoder -> Util.Codec.sections -> 'a) ->
   build:(unit -> 'a) ->
   'a
-(** {!find_or_build} over v2 section frames ({!Util.Codec.frame_v2}).
+(** {!find_or_build} for values with bulk arrays ({!Util.Codec.frame_v2}).
     [encode] splits a value into scalar meta plus raw numeric sections,
     which a miss streams to disk ({!Util.Codec.write_frame_v2}) without
     an encoded copy in memory;
     on hit, [decode] receives the meta decoder and zero-copy
     [Unix.map_file]-backed section views when the host allows mapping
     (a warm million-node preconditioner replays without decoding its
-    gigabytes), or copying views otherwise.  Hits count
-    [store.map_hits] vs [store.full_decodes] in the metrics registry on
-    top of the usual [store.hits].  Error discipline is exactly
+    gigabytes), or copying views otherwise.  Hits on frames with at
+    least one section count [store.map_hits] vs [store.full_decodes] in
+    the metrics registry on top of the usual [store.hits].  Error discipline is exactly
     {!find_or_build}'s. *)
 
 val gc_dir : dir:string -> kind:string -> keep:(string -> bool) -> int
@@ -94,9 +94,6 @@ val gc_dir : dir:string -> kind:string -> keep:(string -> bool) -> int
     [keep] predicate; returns the number removed.  Other kinds and
     foreign files are untouched.  Missing or unreadable directories
     count as empty. *)
-
-val gc : t -> kind:string -> keep:(string -> bool) -> int
-(** {!gc_dir} against the store's directory; [0] when disabled. *)
 
 val touch : string -> unit
 (** Refresh a file's mtime (best effort, errors swallowed).  The store

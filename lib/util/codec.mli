@@ -3,12 +3,17 @@
     The substrate of the on-disk artifact store ({!Opera} scenario
     engine): fixed-width little-endian primitives, bit-exact floats
     (IEEE-754 bit patterns, so cached factors reproduce cold runs
-    bitwise), and a self-describing frame
+    bitwise), and one self-describing frame format
 
-    [magic | format | kind | version | length | FNV-1a checksum | payload]
+    [magic | format = 2 | kind | version | length | FNV-1a checksum | payload]
 
-    so corrupt, truncated or schema-mismatched files are detected on
-    read — {!Corrupt} — and never trusted. *)
+    whose payload holds a small [meta] encoder run (scalars, small
+    arrays) and zero or more raw numeric sections.  Every artifact —
+    factors, orderings, tensors, AMG hierarchies, journal records, lint
+    cache entries — is such a frame; one without bulk arrays simply has
+    zero sections.  Corrupt, truncated, foreign-format or
+    schema-mismatched files are detected on read — {!Corrupt} — and
+    never trusted. *)
 
 exception Corrupt of string
 (** Raised by every read path on malformed bytes: truncation, bad magic,
@@ -65,64 +70,23 @@ val read_float_array : decoder -> float array
 val expect_end : decoder -> unit
 (** Raise {!Corrupt} unless the payload was consumed exactly. *)
 
-(** {1 Framing} *)
-
-val frame : kind:string -> version:int -> (encoder -> unit) -> string
-(** [frame ~kind ~version write] serializes a payload produced by [write]
-    into a self-describing frame carrying the artifact [kind] tag, the
-    caller's schema [version] and an FNV-1a checksum of the payload. *)
-
-val unframe : kind:string -> version:int -> string -> decoder
-(** Validate a frame (magic, codec format, kind, version, length,
-    checksum) and return a decoder positioned on the payload.  Raises
-    {!Corrupt} on any mismatch. *)
+(** {1 Checksums} *)
 
 val fnv1a : ?pos:int -> ?len:int -> string -> int64
 (** FNV-1a 64-bit hash of a substring (integrity, not cryptography). *)
 
-val fnv1a_init : int64
-(** Initial state of the running FNV-1a form. *)
+(** {1 Frames}
 
-val fnv1a_fold : int64 -> Bytes.t -> int -> int -> int64
-(** [fnv1a_fold h b pos len] advances the running hash over a chunk —
-    the incremental form used by {!read_frame} to checksum a payload
-    while it is read, without a second pass. *)
-
-(** {1 Files} *)
-
-val write_file : string -> string -> unit
-(** Write bytes through a same-directory temp file and [rename], so the
-    final path never holds a partially written frame.  The file lands
-    with mode [0o644] masked by the process umask (not the 0600 of the
-    temp file), so readers sharing the cache directory — the sharded
-    multi-process batch scenario — can open it. *)
-
-val read_file : string -> string option
-(** Whole-file read; [None] when the file is missing or unreadable
-    (open failed).  A file that opens but is zero-length or truncates
-    mid-read raises {!Corrupt} — that is cache damage, not a miss, and
-    callers must take their drop-and-rebuild path. *)
-
-val read_frame : kind:string -> version:int -> string -> decoder option
-(** Single-pass framed read: validates the v1 header straight off the
-    channel, then reads the payload into its one final buffer in chunks,
-    folding the FNV-1a checksum over each chunk as it lands.  Unlike
-    {!read_file} + {!unframe}, the artifact is never resident twice and
-    the checksum never re-walks the payload.  [None] when the file is
-    missing or unreadable; {!Corrupt} on any damage (including a v2
-    format byte — dispatch by artifact kind, not by sniffing). *)
-
-(** {1 v2 frames: mmap-decodable section payloads}
-
-    A v2 frame splits its payload into a small [meta] encoder section
-    (scalars, dimensions) and a table of 8-aligned raw numeric runs.
-    On a 64-bit little-endian host the runs coincide byte-for-byte with
-    the memory layout of [int] / [float64] Bigarrays, so {!read_frame_v2}
-    can return zero-copy [Unix.map_file]-backed views over the artifact
-    — a warm million-node factor loads without decoding gigabytes.  The
+    A frame splits its payload into a [meta] encoder run and a table of
+    8-aligned raw numeric runs (sections).  On a 64-bit little-endian
+    host the runs coincide byte-for-byte with the memory layout of
+    [int] / [float64] Bigarrays, so {!read_frame_v2} can return
+    zero-copy [Unix.map_file]-backed views over the artifact — a warm
+    million-node hierarchy loads without decoding gigabytes.  The
     checksum is verified over the mapped region before any view is
-    handed out; foreign hosts and refused mappings take a copying
-    fallback that decodes the same bytes portably. *)
+    handed out.  A frame with zero sections, a foreign host, a refused
+    mapping or [map = false] takes one streaming read into one buffer
+    instead, decoding the sections (if any) portably. *)
 
 type fsection = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -136,7 +100,7 @@ type section_data =
   | I_big of isection
 
 type sections
-(** Decoded (or mapped) section views of one v2 payload. *)
+(** Decoded (or mapped) section views of one payload. *)
 
 val sections_mapped : sections -> bool
 (** [true] when the views are [Unix.map_file]-backed (zero-copy). *)
@@ -154,9 +118,19 @@ val frame_v2 :
   meta:(encoder -> unit) ->
   sections:section_data list ->
   string
-(** Serialize a v2 frame.  Elements are written little-endian (i64 for
-    ints, IEEE-754 bits for floats) regardless of host order, so the
-    frame reads back anywhere; mapping is what needs a matching host. *)
+(** Serialize a frame in memory.  Elements are written little-endian
+    (i64 for ints, IEEE-754 bits for floats) regardless of host order,
+    so the frame reads back anywhere; mapping is what needs a matching
+    host. *)
+
+(** {1 Files} *)
+
+val write_file : string -> string -> unit
+(** Write bytes through a same-directory temp file and [rename], so the
+    final path never holds a partially written frame.  The file lands
+    with mode [0o644] masked by the process umask (not the 0600 of the
+    temp file), so readers sharing the cache directory — the sharded
+    multi-process batch scenario — can open it. *)
 
 val write_frame_v2 :
   string ->
@@ -166,16 +140,19 @@ val write_frame_v2 :
   sections:section_data list ->
   unit
 (** [write_frame_v2 path ~kind ~version ~meta ~sections] writes exactly
-    the bytes of {!frame_v2} to [path], streaming the payload through
-    one fixed chunk and folding the checksum as it goes; the header's
-    length and checksum are patched in place at the end.  The file is
-    published like {!write_file} (temp file, mode, rename), and no
-    encoded copy of the sections is ever held in memory. *)
+    the bytes of {!frame_v2} to [path]: the meta in bulk, the sections
+    streamed through one fixed chunk, the checksum folded as it goes and
+    the header rewritten at the end.  The file is published like
+    {!write_file} (temp file, mode, rename), and no encoded copy of the
+    sections is ever held in memory. *)
 
 val read_frame_v2 :
   ?map:bool -> kind:string -> version:int -> string -> (decoder * sections) option
-(** Load a v2 frame: the meta decoder plus section views.  With
-    [map = true] (default) a matching 64-bit little-endian host gets
-    mapped views, checksummed over the mapped region; otherwise — or
-    when mapping fails — a streaming read + copying decode.  [None] when
-    the file is missing; {!Corrupt} on damage. *)
+(** Load a frame: the meta decoder plus section views.  With [map = true]
+    (default), a frame with sections on a matching 64-bit little-endian
+    host gets mapped views, checksummed over the mapped region;
+    otherwise the payload is read once into one buffer, checksummed as
+    it lands, and the meta decoder is positioned inside that buffer.
+    [None] when the file cannot be opened; {!Corrupt} on any damage —
+    an empty or truncated file, a foreign magic or format byte (an old
+    v1 frame), a kind or version mismatch, a checksum failure. *)

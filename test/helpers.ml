@@ -67,3 +67,17 @@ let small_grid_spec =
 
 let qcheck_case ?(count = 100) name arbitrary property =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary property)
+
+(* Whole-file read, for tests that damage an artifact in place. *)
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* A well-formed frame of the retired format 1 — magic, format byte 1,
+   kind, version, length, FNV-1a checksum, then [payload] — as an old
+   cache directory would still hold it. *)
+let v1_frame ~kind ~version payload =
+  let e = Util.Codec.encoder () in
+  Util.Codec.write_string e kind;
+  Util.Codec.write_int e version;
+  Util.Codec.write_int e (String.length payload);
+  Util.Codec.write_i64 e (Util.Codec.fnv1a payload);
+  "OPRA\001" ^ Util.Codec.contents e ^ payload

@@ -249,9 +249,7 @@ let test_streamed_write_matches_frame () =
           let version = Linalg.Amg.artifact_version in
           let expect = Util.Codec.frame_v2 ~kind ~version ~meta ~sections in
           Util.Codec.write_frame_v2 file ~kind ~version ~meta ~sections;
-          let got =
-            match Util.Codec.read_file file with Some s -> s | None -> Alcotest.fail "no file"
-          in
+          let got = Helpers.read_bytes file in
           Alcotest.(check bool) (kind ^ ": spans several chunks") true
             (String.length expect > 3 * 65536);
           Alcotest.(check int) (kind ^ ": same length") (String.length expect) (String.length got);

@@ -155,12 +155,55 @@ let test_compare_pinned_row () =
         [ "281n"; "281"; "0.0107"; "0.0563"; "6.66"; "6.83"; "+-31"; "0.0036" ]
         (List.filteri (fun i _ -> i < 8) row))
 
+(* stderr of one run, for the cases where the message itself is the
+   contract. *)
+let stderr_of args =
+  let err = Filename.temp_file "opera_cli_test" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args (Filename.quote err))
+      in
+      (code, String.trim (Helpers.read_bytes err)))
+
+(* A region count the near-square split cannot tile (5, or 0) must make
+   [opera special] exit 2 with the message a batch special job gets,
+   not run with a rounded count. *)
+let test_special_rejects_untileable_regions () =
+  let ends_with ~suffix what s =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S ends with %S" what s suffix)
+      true
+      (String.ends_with ~suffix s)
+  in
+  let batch_msg =
+    with_temp_file {|{"jobs": [{"analysis": "special", "regions": 5}]}|} (fun path ->
+        snd (stderr_of ("batch " ^ Filename.quote path)))
+  in
+  List.iter
+    (fun (regions, msg) ->
+      let code, err = stderr_of (Printf.sprintf "special --nodes 60 --regions %s" regions) in
+      Alcotest.(check int) ("special --regions " ^ regions ^ " exits 2") 2 code;
+      Alcotest.(check string) ("special --regions " ^ regions ^ " message") msg err)
+    [
+      ("5", "opera special: field \"regions\" must tile a near-square rx*ry grid; 5 does not \
+              (nearest are 4 and 6)");
+      ("0", "opera special: field \"regions\" must be > 0");
+    ];
+  ends_with "batch names the same rule"
+    ~suffix:"field \"regions\" must tile a near-square rx*ry grid; 5 does not (nearest are 4 and 6)"
+    batch_msg
+
 let suite =
   [
     Alcotest.test_case "--help and --version exit 0" `Quick test_help_exits_zero;
     Alcotest.test_case "usage errors exit 2" `Quick test_usage_errors_exit_two;
     Alcotest.test_case "bad job files exit 2" `Quick test_batch_rejects_malformed_jobs;
     Alcotest.test_case "serve usage errors exit 2" `Quick test_serve_usage_errors_exit_two;
+    Alcotest.test_case "special rejects untileable --regions" `Quick
+      test_special_rejects_untileable_regions;
     Alcotest.test_case "a tiny batch exits 0" `Slow test_batch_runs_a_tiny_batch;
     Alcotest.test_case "resume and shard flags exit 0" `Slow test_batch_resume_and_shard_exit_zero;
     Alcotest.test_case "compare prints the pinned row" `Slow test_compare_pinned_row;

@@ -69,66 +69,108 @@ let test_expect_end () =
   | () -> Alcotest.fail "expect_end accepted a half-read payload"
   | exception C.Corrupt _ -> ()
 
-let frame_payload () =
-  C.frame ~kind:"chol" ~version:3 (fun e ->
-      C.write_int e 17;
-      C.write_float_array e [| 1.5; -2.25; 1e-12 |];
-      C.write_string e "ordering")
+(* A frame with a small meta and one int section: the zero-section
+   layout every factor and journal record uses, plus the section table
+   and padding of a mapped artifact. *)
+let write_meta e =
+  C.write_int e 17;
+  C.write_float_array e [| 1.5; -2.25; 1e-12 |];
+  C.write_string e "ordering"
 
-let read_back bytes =
-  let d = C.unframe ~kind:"chol" ~version:3 bytes in
+let frames =
+  [
+    ("zero sections", C.frame_v2 ~kind:"chol" ~version:3 ~meta:write_meta ~sections:[]);
+    ( "one section",
+      C.frame_v2 ~kind:"chol" ~version:3 ~meta:write_meta ~sections:[ C.I_arr [| 4; -5; 6 |] ] );
+  ]
+
+let frame_payload () = List.assoc "zero sections" frames
+
+let temp_frame () = Filename.temp_file "codec_test" ".opra"
+
+(* Write [bytes] to a file and load it back as a chol v3 frame. *)
+let load ?(map = true) ?(kind = "chol") ?(version = 3) bytes =
+  let path = temp_frame () in
+  C.write_file path bytes;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> C.read_frame_v2 ~map ~kind ~version path)
+
+let read_back (d, sections) =
   let n = C.read_int d in
   let xs = C.read_float_array d in
   let s = C.read_string d in
   C.expect_end d;
-  (n, xs, s)
+  let ints =
+    List.init (C.section_count sections) (fun i ->
+        let a = C.section_int sections i in
+        List.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a))
+  in
+  (n, xs, s, ints)
 
 let test_frame_roundtrip () =
-  let n, xs, s = read_back (frame_payload ()) in
-  Alcotest.(check int) "int through frame" 17 n;
-  Alcotest.(check (array (float 0.0))) "floats through frame" [| 1.5; -2.25; 1e-12 |] xs;
-  Alcotest.(check string) "string through frame" "ordering" s
+  List.iter
+    (fun (what, bytes) ->
+      List.iter
+        (fun map ->
+          match load ~map bytes with
+          | None -> Alcotest.failf "%s: frame unreadable" what
+          | Some loaded ->
+              let n, xs, s, ints = read_back loaded in
+              Alcotest.(check int) (what ^ ": int through frame") 17 n;
+              Alcotest.(check (array (float 0.0)))
+                (what ^ ": floats through frame") [| 1.5; -2.25; 1e-12 |] xs;
+              Alcotest.(check string) (what ^ ": string through frame") "ordering" s;
+              Alcotest.(check (list (list int)))
+                (what ^ ": sections through frame")
+                (if ints = [] then [] else [ [ 4; -5; 6 ] ])
+                ints)
+        [ true; false ])
+    frames
 
 let expect_corrupt what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Corrupt" what
   | exception C.Corrupt _ -> ()
 
-let read_back_payload d =
-  let n = C.read_int d in
-  let xs = C.read_float_array d in
-  let s = C.read_string d in
-  C.expect_end d;
-  (n, xs, s)
+(* Load through both readers (mapped and streaming) and decode fully. *)
+let expect_rejected what bytes =
+  List.iter
+    (fun map ->
+      expect_corrupt
+        (Printf.sprintf "%s (map %b)" what map)
+        (fun () -> Option.map read_back (load ~map bytes)))
+    [ true; false ]
 
 let test_frame_validation () =
-  let good = frame_payload () in
-  expect_corrupt "wrong kind" (fun () -> C.unframe ~kind:"perm" ~version:3 good);
-  expect_corrupt "older version" (fun () -> C.unframe ~kind:"chol" ~version:4 good);
-  expect_corrupt "newer version" (fun () -> C.unframe ~kind:"chol" ~version:2 good);
-  expect_corrupt "empty" (fun () -> C.unframe ~kind:"chol" ~version:3 "");
-  (* truncation at every prefix length must be detected, never crash *)
-  for len = 0 to String.length good - 1 do
-    expect_corrupt
-      (Printf.sprintf "truncated to %d" len)
-      (fun () ->
-        let d = C.unframe ~kind:"chol" ~version:3 (String.sub good 0 len) in
-        ignore (read_back_payload d))
-  done
+  List.iter
+    (fun (what, good) ->
+      let load_as ~kind ~version () = load ~kind ~version good in
+      expect_corrupt (what ^ ": wrong kind") (load_as ~kind:"perm" ~version:3);
+      expect_corrupt (what ^ ": older version") (load_as ~kind:"chol" ~version:4);
+      expect_corrupt (what ^ ": newer version") (load_as ~kind:"chol" ~version:2);
+      expect_rejected (what ^ ": empty") "";
+      (* truncation at every prefix length must be detected, never crash *)
+      for len = 0 to String.length good - 1 do
+        expect_rejected (Printf.sprintf "%s: truncated to %d" what len) (String.sub good 0 len)
+      done)
+    frames;
+  (* A frame of the retired format 1 fails the format byte. *)
+  let meta = C.encoder () in
+  write_meta meta;
+  expect_rejected "format-1 frame" (Helpers.v1_frame ~kind:"chol" ~version:3 (C.contents meta))
 
 let test_bit_flip_checksum () =
-  let good = frame_payload () in
   (* flip one bit in every byte position: either the header check or the
      FNV-1a checksum must catch it *)
-  for pos = 0 to String.length good - 1 do
-    let b = Bytes.of_string good in
-    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
-    expect_corrupt
-      (Printf.sprintf "bit flip at %d" pos)
-      (fun () ->
-        let d = C.unframe ~kind:"chol" ~version:3 (Bytes.to_string b) in
-        read_back_payload d)
-  done
+  List.iter
+    (fun (what, good) ->
+      for pos = 0 to String.length good - 1 do
+        let b = Bytes.of_string good in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+        expect_rejected (Printf.sprintf "%s: bit flip at %d" what pos) (Bytes.to_string b)
+      done)
+    frames
 
 let test_fnv1a_known () =
   (* standard FNV-1a 64 test vectors *)
@@ -137,23 +179,26 @@ let test_fnv1a_known () =
   Alcotest.(check int64) "foobar" 0x85944171f73967e8L (C.fnv1a "foobar")
 
 let test_file_roundtrip () =
-  let path = Filename.temp_file "codec_test" ".opra" in
-  let payload = frame_payload () in
-  C.write_file path payload;
-  (match C.read_file path with
-  | Some bytes -> Alcotest.(check string) "file round-trip" payload bytes
-  | None -> Alcotest.fail "read_file returned None");
+  let path = temp_frame () in
+  C.write_frame_v2 path ~kind:"chol" ~version:3 ~meta:write_meta ~sections:[];
+  Alcotest.(check string) "streamed file = in-memory frame" (frame_payload ())
+    (Helpers.read_bytes path);
+  (match C.read_frame_v2 ~kind:"chol" ~version:3 path with
+  | Some loaded ->
+      let n, _, s, _ = read_back loaded in
+      Alcotest.(check (pair int string)) "file round-trip" (17, "ordering") (n, s)
+  | None -> Alcotest.fail "read_frame_v2 returned None");
   Sys.remove path;
-  Alcotest.(check bool) "missing file" true (C.read_file path = None)
+  Alcotest.(check bool) "missing file" true (C.read_frame_v2 ~kind:"chol" ~version:3 path = None)
 
 let test_zero_length_file_is_corrupt () =
   (* Regression: a crash can leave a zero-length file under an artifact
      name (e.g. a journal entry opened but never written).  That is
-     cache damage, not a miss: read_file must raise Corrupt — not
-     return "" or None — so Store, Registry and the lint cache all take
-     their drop-and-rebuild path. *)
-  let path = Filename.temp_file "codec_test" ".opra" in
-  (match C.read_file path with
+     cache damage, not a miss: the reader must raise Corrupt — not
+     return None — so Store, Registry and the lint cache all take their
+     drop-and-rebuild path. *)
+  let path = temp_frame () in
+  (match C.read_frame_v2 ~kind:"chol" ~version:3 path with
   | exception C.Corrupt _ -> ()
   | Some _ -> Alcotest.fail "zero-length file read back as data"
   | None -> Alcotest.fail "zero-length file reported as a clean miss");

@@ -281,7 +281,7 @@ let test_incremental_cache () =
 
 let test_cache_survives_damage () =
   (* A zero-length or truncated cache entry must be dropped and the file
-     re-analyzed — the Codec.read_file Corrupt contract end-to-end. *)
+     re-analyzed — the frame reader's Corrupt contract end-to-end. *)
   let dir = fresh_dir () in
   let cache_dir = Filename.concat dir "_cache" in
   write_src dir "gamma.ml" "let c x = x = 0.5\n";

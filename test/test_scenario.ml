@@ -320,7 +320,7 @@ let test_corrupt_amg_artifact_rebuilds_bitwise () =
     Alcotest.(check int) (what ^ ": healed store maps again") 0 (healed "engine.precond_builds")
   in
   damage "truncated" (fun () ->
-      let bytes = Option.get (Util.Codec.read_file file) in
+      let bytes = Helpers.read_bytes file in
       Util.Codec.write_file file (String.sub bytes 0 (String.length bytes / 2)));
   damage "wrong dimension" (fun () ->
       let meta, sections = Linalg.Amg.to_frame (Linalg.Amg.build (chain_laplacian 100)) in
@@ -548,7 +548,7 @@ let test_resume_replays_bitwise () =
   let _, healed = run ~cache_dir ~resume:true jobs in
   Alcotest.(check int) "healed journal replays every job" 3 healed.Engine.replayed;
   (* Zero-length journal entry (a crash between open and first write):
-     Codec.read_file raises Corrupt, and the registry must take the same
+     the frame reader raises Corrupt, and the registry must take the same
      drop-and-re-run path, not crash or replay an empty record. *)
   (match Scenario.Registry.path registry jobs.(1) with
   | Some path -> close_out (open_out_bin path)
@@ -754,12 +754,6 @@ let golden_batch () =
     };
   |]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let golden_jsonl ~jobs_parallel =
   let config =
     {
@@ -773,13 +767,74 @@ let golden_jsonl ~jobs_parallel =
   String.concat "" (List.map (fun r -> r ^ "\n") (records_of results))
 
 let test_golden_records () =
-  let golden = read_file "golden/mixed_batch.jsonl" in
+  let golden = Helpers.read_bytes "golden/mixed_batch.jsonl" in
   List.iter
     (fun jobs_parallel ->
       Alcotest.(check string)
         (Printf.sprintf "mixed batch at jobs_parallel %d = pinned JSONL" jobs_parallel)
         golden (golden_jsonl ~jobs_parallel))
     [ 1; 3 ]
+
+(* Rewrite a zero-section frame in place as the format-1 frame an older
+   build wrote for the same value: same kind, version and payload (a
+   format-1 payload is exactly the meta run of a zero-section frame). *)
+let rewrite_as_format_1 path =
+  let b = Helpers.read_bytes path in
+  let klen = Int64.to_int (String.get_int64_le b 5) in
+  let kind = String.sub b 13 klen in
+  let version = Int64.to_int (String.get_int64_le b (13 + klen)) in
+  let payload_off = 37 + klen in
+  Alcotest.(check int64) (kind ^ ": zero sections") 0L (String.get_int64_le b (payload_off + 8));
+  let meta_off = payload_off + 24 in
+  Util.Codec.write_file path
+    (Helpers.v1_frame ~kind ~version (String.sub b meta_off (String.length b - meta_off)))
+
+let check_one_format what cache_dir =
+  let files = Sys.readdir cache_dir |> Array.to_list |> List.sort compare in
+  List.iter
+    (fun f ->
+      let head = String.sub (Helpers.read_bytes (Filename.concat cache_dir f)) 0 5 in
+      Alcotest.(check string) (Printf.sprintf "%s: %s is a format-2 frame" what f) "OPRA\002" head)
+    files;
+  let kinds =
+    List.sort_uniq compare (List.map (fun f -> String.sub f 0 (String.rindex f '-')) files)
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (Printf.sprintf "%s: a %s artifact was written" what kind) true
+        (List.mem kind kinds))
+    [ "amg"; "chol"; "perm"; "result"; "triple" ];
+  files
+
+(* One frame format for every artifact and journal entry.  A cold cached
+   run of the mixed batch (under --precond amg, so the DC pcg group
+   stores a hierarchy too) writes only format-2 frames; a leftover
+   format-1 frame at a factor path or a journal path is dropped and
+   rebuilt, and the stream still equals the clean run's. *)
+let test_one_frame_format () =
+  let jobs = golden_batch () in
+  let cache_dir = fresh_dir () in
+  let run ?resume () = run ~cache_dir ?resume ~precond:Linalg.Precond.Amg jobs in
+  let clean_results, _ = run () in
+  let clean = records_of clean_results in
+  let files = check_one_format "cold" cache_dir in
+  let chol = List.find (String.starts_with ~prefix:"chol-") files in
+  rewrite_as_format_1 (Filename.concat cache_dir chol);
+  let results, summary = run () in
+  Alcotest.(check int) "format-1 factor counted corrupt" 1 summary.Engine.cache_corrupt;
+  Alcotest.(check int) "and refactored" 1 summary.Engine.factorizations;
+  Alcotest.(check (list string)) "stream after a format-1 factor = clean stream" clean
+    (records_of results);
+  let registry = Scenario.Registry.create ~dir:(Some cache_dir) () in
+  (match Scenario.Registry.path registry jobs.(0) with
+  | Some path -> rewrite_as_format_1 path
+  | None -> Alcotest.fail "registry path missing");
+  let results, summary = run ~resume:true () in
+  Alcotest.(check int) "format-1 journal entry dropped" 1 summary.Engine.registry_corrupt;
+  Alcotest.(check int) "its job re-runs and re-journals" 1 summary.Engine.journaled;
+  Alcotest.(check (list string)) "stream after a format-1 journal entry = clean stream" clean
+    (records_of results);
+  ignore (check_one_format "healed" cache_dir)
 
 let suite =
   [
@@ -796,6 +851,8 @@ let suite =
       test_pcg_amg_dc_group_shares_hierarchy;
     Alcotest.test_case "corrupt amg artifacts rebuild bitwise" `Quick
       test_corrupt_amg_artifact_rebuilds_bitwise;
+    Alcotest.test_case "one frame format; format-1 leftovers rebuild" `Quick
+      test_one_frame_format;
     Alcotest.test_case "jobs_parallel never changes the stream" `Slow
       test_jobs_parallel_deterministic;
     Alcotest.test_case "engine transient = Galerkin.solve_transient" `Quick

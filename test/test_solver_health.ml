@@ -240,7 +240,7 @@ let test_cg_history_ring () =
   Alcotest.(check int) "no history by default" 0
     (Array.length bare.Linalg.Solve_report.residual_history)
 
-let test_report_summary_and_json () =
+let test_report_summary () =
   let r =
     Linalg.Solve_report.make ~solver:"cg" ~iterations:7 ~residual_norm:2e-11 ~rhs_norm:2.0
       ~tol:1e-10 ~converged:true ~wall_seconds:0.25 ()
@@ -248,14 +248,7 @@ let test_report_summary_and_json () =
   Helpers.check_float ~eps:1e-24 "relative residual" 1e-11 r.Linalg.Solve_report.rel_residual;
   let s = Linalg.Solve_report.summary r in
   Alcotest.(check bool) "summary mentions convergence" true
-    (String.length s > 0 && String.sub s 0 2 = "cg");
-  match Util.Json.parse (Linalg.Solve_report.to_json r) with
-  | Error e -> Alcotest.failf "report JSON does not parse: %s" e
-  | Ok j ->
-      Alcotest.(check (option int)) "iterations field" (Some 7)
-        (Option.bind (Util.Json.member "iterations" j) Util.Json.to_int);
-      Alcotest.(check (option string)) "solver field" (Some "cg")
-        (Option.bind (Util.Json.member "solver" j) Util.Json.to_string)
+    (String.length s > 0 && String.sub s 0 2 = "cg")
 
 let suite =
   [
@@ -271,5 +264,5 @@ let suite =
       test_metrics_sorted_and_reset;
     Alcotest.test_case "cg: zero rhs returns x = 0 immediately" `Quick test_cg_zero_rhs;
     Alcotest.test_case "cg: residual history ring buffer" `Quick test_cg_history_ring;
-    Alcotest.test_case "solve report summary and JSON" `Quick test_report_summary_and_json;
+    Alcotest.test_case "solve report summary" `Quick test_report_summary;
   ]

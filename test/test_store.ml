@@ -68,9 +68,7 @@ let corruption_case what mangle =
   let store = Store.create ~metrics:(Util.Metrics.create ()) ~dir:(Some (fresh_dir ())) () in
   check_payload (what ^ ": cold") (lookup store);
   let path = artifact_path store in
-  let bytes =
-    match C.read_file path with Some b -> b | None -> Alcotest.fail "artifact not written"
-  in
+  let bytes = Helpers.read_bytes path in
   (match mangle bytes with
   | Some damaged -> C.write_file path damaged
   | None -> Sys.remove path);
@@ -95,17 +93,19 @@ let test_bit_flip () =
   in
   Alcotest.(check int) "bit flip counts as corrupt" 1 s.Store.corrupt
 
+let frame ~kind ~version meta = C.frame_v2 ~kind ~version ~meta ~sections:[]
+
 let test_wrong_kind () =
   let s =
     corruption_case "wrong kind" (fun _ ->
-        Some (C.frame ~kind:"other" ~version:1 (fun e -> C.write_float_array e payload)))
+        Some (frame ~kind:"other" ~version:1 (fun e -> C.write_float_array e payload)))
   in
   Alcotest.(check int) "kind mismatch counts as corrupt" 1 s.Store.corrupt
 
 let test_version_mismatch () =
   let s =
     corruption_case "older schema" (fun _ ->
-        Some (C.frame ~kind:"test" ~version:0 (fun e -> C.write_float_array e payload)))
+        Some (frame ~kind:"test" ~version:0 (fun e -> C.write_float_array e payload)))
   in
   Alcotest.(check int) "schema version counts as corrupt" 1 s.Store.corrupt
 
@@ -113,12 +113,23 @@ let test_semantic_decode_mismatch () =
   (* a frame that validates but whose payload the decoder rejects *)
   let s =
     corruption_case "semantic mismatch" (fun _ ->
-        Some (C.frame ~kind:"test" ~version:1 (fun e -> C.write_string e "not an array")))
+        Some (frame ~kind:"test" ~version:1 (fun e -> C.write_string e "not an array")))
   in
   Alcotest.(check bool) "decode rejection counts as corrupt" true (s.Store.corrupt >= 1)
 
+let test_format_1_artifact () =
+  (* A cache directory from before the single frame format still holds
+     format-1 frames: they fail the format byte and are rebuilt. *)
+  let s =
+    corruption_case "format 1" (fun _ ->
+        let e = C.encoder () in
+        C.write_float_array e payload;
+        Some (Helpers.v1_frame ~kind:"test" ~version:1 (C.contents e)))
+  in
+  Alcotest.(check int) "format-1 frame counts as corrupt" 1 s.Store.corrupt
+
 let test_zero_length_artifact () =
-  (* read_file raises Corrupt on a zero-length file; the store must fold
+  (* The frame reader raises Corrupt on a zero-length file; the store must fold
      that into the usual drop-and-rebuild path. *)
   let s = corruption_case "zero-length" (fun _ -> Some "") in
   Alcotest.(check int) "zero-length counts as corrupt" 1 s.Store.corrupt
@@ -173,6 +184,7 @@ let suite =
     Alcotest.test_case "wrong-kind artifact is rebuilt" `Quick test_wrong_kind;
     Alcotest.test_case "version-mismatched artifact is rebuilt" `Quick test_version_mismatch;
     Alcotest.test_case "semantic decode mismatch is rebuilt" `Quick test_semantic_decode_mismatch;
+    Alcotest.test_case "format-1 artifact is rebuilt" `Quick test_format_1_artifact;
     Alcotest.test_case "zero-length artifact is rebuilt" `Quick test_zero_length_artifact;
     Alcotest.test_case "deleted artifact is a plain miss" `Quick test_deleted_file;
     Alcotest.test_case "decoder exception is rebuilt" `Quick test_decoder_exception_rebuilds;

@@ -1,11 +1,11 @@
 (* Incremental lint cache.
 
-   One [Util.Codec] frame per analyzed source file, named by a digest
-   of its project-relative path, keyed inside by (source digest,
-   rule-config digest).  A probe hits only when both digests match, so
-   editing a file re-analyzes exactly that file and changing the rule
-   configuration (or the catalogue version baked into the config
-   digest) re-analyzes everything.
+   One [Util.Codec] frame (zero sections) per analyzed source file,
+   named by a digest of its project-relative path, keyed inside by
+   (source digest, rule-config digest).  A probe hits only when both
+   digests match, so editing a file re-analyzes exactly that file and
+   changing the rule configuration (or the catalogue version baked into
+   the config digest) re-analyzes everything.
 
    The codec layer already gives the crash-safety story: frames are
    checksummed, written atomically (temp + rename), and any torn or
@@ -59,17 +59,15 @@ let read_finding d : Lint_rules.finding =
   let waived = Util.Codec.read_bool d in
   { rule; file; line; col; anchor; msg; waived }
 
-let encode ~src_digest ~cfg_digest entry =
-  Util.Codec.frame ~kind ~version (fun e ->
-      Util.Codec.write_string e src_digest;
-      Util.Codec.write_string e cfg_digest;
-      Util.Codec.write_int e (List.length entry.findings);
-      List.iter (write_finding e) entry.findings;
-      Util.Codec.write_int e (List.length entry.race_closures);
-      List.iter (Util.Codec.write_int e) entry.race_closures)
+let encode ~src_digest ~cfg_digest entry e =
+  Util.Codec.write_string e src_digest;
+  Util.Codec.write_string e cfg_digest;
+  Util.Codec.write_int e (List.length entry.findings);
+  List.iter (write_finding e) entry.findings;
+  Util.Codec.write_int e (List.length entry.race_closures);
+  List.iter (Util.Codec.write_int e) entry.race_closures
 
-let decode ~src_digest ~cfg_digest bytes =
-  let d = Util.Codec.unframe ~kind ~version bytes in
+let decode ~src_digest ~cfg_digest d =
   let stored_src = Util.Codec.read_string d in
   let stored_cfg = Util.Codec.read_string d in
   if stored_src <> src_digest || stored_cfg <> cfg_digest then None
@@ -90,15 +88,9 @@ let decode ~src_digest ~cfg_digest bytes =
    removed, so the rebuilt entry replaces them). *)
 let load ~dir ~rel_path ~src_digest ~cfg_digest : entry option =
   let file = file_for ~dir ~rel_path in
-  match Util.Codec.read_file file with
+  match Util.Codec.read_frame_v2 ~kind ~version file with
   | None -> None
-  | Some bytes -> (
-      match decode ~src_digest ~cfg_digest bytes with
-      | entry -> entry
-      | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-      | exception _ ->
-          (try Sys.remove file with Sys_error _ -> ());
-          None)
+  | Some (d, _) -> decode ~src_digest ~cfg_digest d
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
   | exception _ ->
       (try Sys.remove file with Sys_error _ -> ());
@@ -106,6 +98,8 @@ let load ~dir ~rel_path ~src_digest ~cfg_digest : entry option =
 
 let store ~dir ~rel_path ~src_digest ~cfg_digest entry =
   ensure_dir dir;
-  let bytes = encode ~src_digest ~cfg_digest entry in
-  try Util.Codec.write_file (file_for ~dir ~rel_path) bytes
+  try
+    Util.Codec.write_frame_v2 (file_for ~dir ~rel_path) ~kind ~version
+      ~meta:(encode ~src_digest ~cfg_digest entry)
+      ~sections:[]
   with Sys_error _ -> ()
